@@ -64,16 +64,12 @@ pub fn granule_table(sample_sizes: &[u64]) -> String {
 /// everything — the §5.2.4 prediction that an ASIC with larger caches is
 /// hurt less by metadata traffic. The subheap scheme's shared records
 /// stay flat throughout.
+///
+/// Runs on up to `workers` threads — one ticket per L1 size, rows
+/// assembled in size order, so the table is identical for any worker
+/// count.
 #[must_use]
-pub fn cache_sweep() -> String {
-    cache_sweep_with_workers(1)
-}
-
-/// [`cache_sweep`] on up to `workers` threads — one ticket per L1 size,
-/// rows assembled in size order, so the table is identical for any
-/// worker count.
-#[must_use]
-pub fn cache_sweep_with_workers(workers: usize) -> String {
+pub fn cache_sweep(workers: usize) -> String {
     let program = ifp_workloads::olden::health::build(4);
     let sizes = [
         ("2 KiB", 32usize),
@@ -164,7 +160,7 @@ mod tests {
 
     #[test]
     fn cache_sweep_gap_peaks_then_collapses() {
-        let t = cache_sweep();
+        let t = cache_sweep(1);
         let gaps: Vec<f64> = t
             .lines()
             .filter(|l| l.contains("pts"))

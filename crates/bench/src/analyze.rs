@@ -7,7 +7,7 @@
 //! be zero across the seed suites (workloads and Juliet generators emit
 //! well-formed IR); a nonzero count here is a regression.
 
-use ifp_testutil::{default_workers, par_map};
+use ifp_testutil::par_map;
 use ifp_vm::{run, AllocatorKind, Mode, VmConfig};
 use ifp_workloads::Workload;
 
@@ -132,7 +132,7 @@ pub fn analyze_workload(w: &Workload) -> WorkloadAnalysis {
 /// workload is an independent pair of simulations, so the result is
 /// identical for any worker count.
 #[must_use]
-pub fn report_with_workers(workloads: &[Workload], workers: usize) -> AnalyzeReport {
+pub fn report(workloads: &[Workload], workers: usize) -> AnalyzeReport {
     let rows = par_map(workloads, workers, analyze_workload);
     let cases = ifp_juliet::all_cases();
     let diag_counts = par_map(&cases, workers, |case| {
@@ -143,12 +143,6 @@ pub fn report_with_workers(workloads: &[Workload], workers: usize) -> AnalyzeRep
         juliet_cases: cases.len(),
         juliet_verifier_diags: diag_counts.iter().sum(),
     }
-}
-
-/// [`report_with_workers`] at the host's available parallelism.
-#[must_use]
-pub fn report(workloads: &[Workload]) -> AnalyzeReport {
-    report_with_workers(workloads, default_workers())
 }
 
 /// Renders the section as a fixed-width table.
@@ -217,8 +211,8 @@ mod tests {
     #[test]
     fn parallel_report_matches_single_thread() {
         let workloads: Vec<Workload> = ifp_workloads::all().into_iter().take(2).collect();
-        let one = report_with_workers(&workloads, 1);
-        let many = report_with_workers(&workloads, 4);
+        let one = report(&workloads, 1);
+        let many = report(&workloads, 4);
         assert_eq!(one.juliet_verifier_diags, many.juliet_verifier_diags);
         for (a, b) in one.workloads.iter().zip(&many.workloads) {
             assert_eq!(a.checks_elided, b.checks_elided);

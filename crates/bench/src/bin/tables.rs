@@ -29,12 +29,10 @@
 //! the modeled statistics are bit-identical across tiers.
 
 use ifp_baselines::{temporal_row, Asan, Mte, SoftBound};
-use ifp_bench::{render, sweep_all_with_workers_cached};
-use ifp_juliet::{
-    all_cases, run_suite_with_workers, run_temporal_suite_with_workers, temporal_cases,
-};
+use ifp_bench::{render, sweep_all};
+use ifp_juliet::{all_cases, run_suite, run_temporal_suite, temporal_cases};
 use ifp_temporal::TemporalPolicy;
-use ifp_vm::{AllocatorKind, Mode};
+use ifp_vm::{AllocatorKind, ExecTier, Mode};
 
 /// Runs `workload` once, instrumented (subheap), with full tracing, and
 /// prints either the summary or the raw JSONL stream.
@@ -254,14 +252,10 @@ fn main() {
         if mode == "jit" {
             eprintln!("comparing execution tiers over 18 workloads ({workers} workers)...");
             let cache = ifp_plancache::PlanCache::new();
-            let rows = ifp_bench::jit::report_with_workers_cached(
-                &ifp_workloads::all(),
-                workers,
-                Some(&cache),
-            );
+            let rows = ifp_bench::jit::report(&ifp_workloads::all(), workers, Some(&cache));
             println!(
                 "{}",
-                ifp_bench::jit::render_table_cached(&rows, Some(cache.stats()))
+                ifp_bench::jit::render_table(&rows, Some(cache.stats()))
             );
             return;
         }
@@ -288,7 +282,7 @@ fn main() {
             "{}",
             ifp_bench::ablation::granule_table(&ifp_bench::ablation::workload_size_sample())
         );
-        println!("{}", ifp_bench::ablation::cache_sweep_with_workers(workers));
+        println!("{}", ifp_bench::ablation::cache_sweep(workers));
     }
 
     if want("juliet") {
@@ -309,7 +303,7 @@ fn main() {
                 no_promote: true,
             },
         ] {
-            let r = run_suite_with_workers(&cases, mode, workers);
+            let r = run_suite(&cases, mode, workers, ExecTier::Interp, None);
             println!("  {mode}: {r}");
         }
         println!();
@@ -326,12 +320,7 @@ fn main() {
         );
         for alloc in [AllocatorKind::Wrapped, AllocatorKind::Subheap] {
             for policy in TemporalPolicy::ALL {
-                let r = run_temporal_suite_with_workers(
-                    &cases,
-                    Mode::instrumented(alloc),
-                    policy,
-                    workers,
-                );
+                let r = run_temporal_suite(&cases, Mode::instrumented(alloc), policy, workers);
                 println!("  instrumented[{alloc}] temporal={policy}: {r}");
             }
         }
@@ -353,14 +342,14 @@ fn main() {
             );
         }
         println!();
-        let costs = ifp_bench::temporal::measure_sample_with_workers(workers);
+        let costs = ifp_bench::temporal::measure_sample(workers);
         print!("{}", ifp_bench::temporal::overhead_table(&costs));
         println!();
     }
 
     if want("analyze") {
         eprintln!("analyzing 18 workloads (elide off/on pairs, {workers} workers)...");
-        let report = ifp_bench::analyze::report_with_workers(&ifp_workloads::all(), workers);
+        let report = ifp_bench::analyze::report(&ifp_workloads::all(), workers);
         println!("{}", ifp_bench::analyze::render_table(&report));
     }
 
@@ -372,12 +361,7 @@ fn main() {
         let workloads = ifp_workloads::all();
         let plan_cache = ifp_plancache::PlanCache::new();
         let t0 = std::time::Instant::now();
-        let sweeps = sweep_all_with_workers_cached(
-            &workloads,
-            workers,
-            ifp_vm::ExecTier::default(),
-            Some(&plan_cache),
-        );
+        let sweeps = sweep_all(&workloads, workers, ExecTier::Interp, Some(&plan_cache));
         eprintln!("swept in {:.1}s", t0.elapsed().as_secs_f64());
 
         if want("table4") {

@@ -1,8 +1,8 @@
 //! The `jit` section: execution-tier comparison over the seed workloads.
 //!
 //! For every workload this fuses the program (static coverage), runs the
-//! subheap configuration on both execution tiers, asserts the modeled
-//! statistics are bit-identical (the tier contract — a mismatch is a
+//! subheap configuration on both execution tiers, asserts the two runs'
+//! observations are identical (the tier contract — a mismatch is a
 //! harness regression, not a table entry), and reports the dynamic
 //! fusion coverage, the dispatch breakdown, and the host wall-clock
 //! speedup of the fused tier over the interpreter.
@@ -12,8 +12,8 @@
 
 use ifp_jit::{fuse_with_coverage, StaticCoverage};
 use ifp_plancache::{CacheStats, PlanCache};
-use ifp_testutil::{default_workers, par_map};
-use ifp_vm::{run, AllocatorKind, ExecTier, FusionStats, Mode, VmConfig};
+use ifp_testutil::par_map;
+use ifp_vm::{run, AllocatorKind, ExecTier, FusionStats, Mode, Observation, VmConfig};
 use ifp_workloads::Workload;
 use std::time::Instant;
 
@@ -84,29 +84,19 @@ impl WorkloadJit {
     }
 }
 
-/// Measures one workload on both tiers under the subheap configuration.
+/// Measures one workload on both tiers under the subheap configuration,
+/// plus, when a [`PlanCache`] is supplied, a warm re-run of the fused
+/// tier through the cache: the artifact is resident, so the warm column
+/// isolates execution from the one-time compile cost (which is reported
+/// separately). Every run's observation is asserted identical to the
+/// interpreter's — the tier and cache contracts, checked here too.
 ///
 /// # Panics
 ///
-/// Panics when a run fails or the tiers' modeled statistics differ —
-/// both are regressions, never table entries.
+/// Panics when a run fails or any run's observation differs — both are
+/// regressions, never table entries.
 #[must_use]
-pub fn measure_workload(w: &Workload) -> WorkloadJit {
-    measure_workload_cached(w, None)
-}
-
-/// [`measure_workload`] plus, when a [`PlanCache`] is supplied, a warm
-/// re-run of the fused tier through the cache: the artifact is resident,
-/// so the warm column isolates execution from the one-time compile cost
-/// (which is reported separately). The warm run's modeled statistics and
-/// output are asserted identical to the cold ones — cache invisibility,
-/// checked here too.
-///
-/// # Panics
-///
-/// Panics when a run fails or any run's modeled statistics differ.
-#[must_use]
-pub fn measure_workload_cached(w: &Workload, cache: Option<&PlanCache>) -> WorkloadJit {
+pub fn measure_workload(w: &Workload, cache: Option<&PlanCache>) -> WorkloadJit {
     let program = w.build_default();
     let (_, static_cov) = fuse_with_coverage(&program, true, false);
     let mut icfg = VmConfig::with_mode(Mode::instrumented(AllocatorKind::Subheap));
@@ -115,18 +105,20 @@ pub fn measure_workload_cached(w: &Workload, cache: Option<&PlanCache>) -> Workl
 
     icfg.exec_tier = ExecTier::Interp;
     let t0 = Instant::now();
-    let ri = run(&program, &icfg).unwrap_or_else(|e| panic!("{} (interp): {e}", w.name));
+    let ri = run(&program, &icfg);
     let interp_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = Instant::now();
-    let rj = run(&program, &jcfg).unwrap_or_else(|e| panic!("{} (jit): {e}", w.name));
+    let rj = run(&program, &jcfg);
     let jit_ms = t1.elapsed().as_secs_f64() * 1e3;
 
+    let reference = Observation::of(&ri);
     assert_eq!(
-        ri.stats, rj.stats,
-        "{}: modeled statistics drifted between tiers",
+        reference,
+        Observation::of(&rj),
+        "{}: observation drifted between tiers",
         w.name
     );
-    assert_eq!(ri.output, rj.output, "{}: output drifted", w.name);
+    let rj = rj.unwrap_or_else(|e| panic!("{}: {e}", w.name));
 
     let (warm_jit_ms, compile_ms) = match cache {
         None => (None, None),
@@ -138,14 +130,12 @@ pub fn measure_workload_cached(w: &Workload, cache: Option<&PlanCache>) -> Workl
                 .artifact(&program, &jcfg)
                 .unwrap_or_else(|e| panic!("{} (jit artifact): {e}", w.name));
             let t2 = Instant::now();
-            let rw = c
-                .run(&program, &jcfg)
-                .unwrap_or_else(|e| panic!("{} (warm jit): {e}", w.name));
+            let rw = c.run(&program, &jcfg);
             let warm = t2.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(ri.stats, rw.stats, "{}: warm-cache stats drifted", w.name);
             assert_eq!(
-                ri.output, rw.output,
-                "{}: warm-cache output drifted",
+                reference,
+                Observation::of(&rw),
+                "{}: warm-cache observation drifted",
                 w.name
             );
             (
@@ -166,42 +156,24 @@ pub fn measure_workload_cached(w: &Workload, cache: Option<&PlanCache>) -> Workl
     }
 }
 
-/// Measures every workload on up to `workers` threads. The deterministic
-/// columns are identical for any worker count; wall-clock columns are
-/// noisier under parallel measurement (use `--workers 1` for the most
-/// stable speedups).
+/// Measures every workload on up to `workers` threads, through `cache`
+/// when given (adding the warm-run and compile columns). The
+/// deterministic columns are identical for any worker count; wall-clock
+/// columns are noisier under parallel measurement (use `--workers 1` for
+/// the most stable speedups).
 #[must_use]
-pub fn report_with_workers(workloads: &[Workload], workers: usize) -> Vec<WorkloadJit> {
-    par_map(workloads, workers, measure_workload)
-}
-
-/// [`report_with_workers`] through an optional shared [`PlanCache`],
-/// adding the warm-run and compile columns.
-#[must_use]
-pub fn report_with_workers_cached(
+pub fn report(
     workloads: &[Workload],
     workers: usize,
     cache: Option<&PlanCache>,
 ) -> Vec<WorkloadJit> {
-    par_map(workloads, workers, |w| measure_workload_cached(w, cache))
+    par_map(workloads, workers, |w| measure_workload(w, cache))
 }
 
-/// [`report_with_workers`] at the host's available parallelism.
+/// Renders the section as a fixed-width table, with a per-suite
+/// [`CacheStats`] footer when the rows were measured through a cache.
 #[must_use]
-pub fn report(workloads: &[Workload]) -> Vec<WorkloadJit> {
-    report_with_workers(workloads, default_workers())
-}
-
-/// Renders the section as a fixed-width table.
-#[must_use]
-pub fn render_table(rows: &[WorkloadJit]) -> String {
-    render_table_cached(rows, None)
-}
-
-/// [`render_table`] with the cache columns (per-workload compile cost
-/// and warm-cache speedup) and a per-suite [`CacheStats`] footer.
-#[must_use]
-pub fn render_table_cached(rows: &[WorkloadJit], cache: Option<CacheStats>) -> String {
+pub fn render_table(rows: &[WorkloadJit], cache: Option<CacheStats>) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     out.push_str("Execution tiers (subheap config; modeled stats bit-identical, asserted)\n");
@@ -282,7 +254,7 @@ mod tests {
             .into_iter()
             .filter(|w| w.name == "treeadd" || w.name == "em3d")
             .collect();
-        let rows = report_with_workers(&workloads, 1);
+        let rows = report(&workloads, 1, None);
         assert_eq!(rows.len(), workloads.len());
         for r in &rows {
             // The fused tier must actually fuse something on real
@@ -296,7 +268,7 @@ mod tests {
             assert!(r.ops_per_dispatch() >= 1.0, "{}", r.workload);
             assert!(r.cycles > 0);
         }
-        let table = render_table(&rows);
+        let table = render_table(&rows, None);
         assert!(table.contains("treeadd"), "{table}");
         assert!(table.contains("overall:"), "{table}");
     }

@@ -12,7 +12,7 @@ pub mod temporal;
 
 use ifp::eval::ModeSweep;
 use ifp_plancache::PlanCache;
-use ifp_testutil::{default_workers, par_map};
+use ifp_testutil::par_map;
 use ifp_vm::ExecTier;
 use ifp_workloads::Workload;
 use std::fmt;
@@ -33,10 +33,14 @@ impl fmt::Display for SweepError {
     }
 }
 
-/// Runs the mode sweep for every workload on up to `workers` threads,
-/// preserving Table 4 order in the result — the output is identical for
-/// any worker count (each sweep is an independent simulation; results
-/// merge by input index).
+/// Runs the mode sweep for every workload on `tier` on up to `workers`
+/// threads, through `cache` when given, preserving Table 4 order in the
+/// result — the output is identical for any worker count, tier and cache
+/// state (each sweep is an independent simulation; results merge by
+/// input index; tier and cache are host-speed knobs, golden-gated). The
+/// cache pays off even within one sweep — each workload's five modes
+/// need only two artifacts — and across suites when the caller shares
+/// the handle.
 ///
 /// Every workload runs to completion even when siblings fail: a worker
 /// panic or VM error is captured per workload instead of tearing down the
@@ -45,24 +49,7 @@ impl fmt::Display for SweepError {
 /// # Errors
 ///
 /// The list of per-workload failures, one entry per failed workload.
-pub fn try_sweep_all_with_workers(
-    workloads: &[Workload],
-    workers: usize,
-) -> Result<Vec<ModeSweep>, Vec<SweepError>> {
-    try_sweep_all_with_workers_cached(workloads, workers, ExecTier::default(), None)
-}
-
-/// [`try_sweep_all_with_workers`] on a chosen execution tier through an
-/// optional shared [`PlanCache`]. Tier and cache are host-speed knobs:
-/// the sweeps are bit-identical for any combination (golden-gated). The
-/// cache pays off even within one sweep — each workload's five modes
-/// need only two artifacts — and across suites when the caller shares
-/// the handle.
-///
-/// # Errors
-///
-/// The list of per-workload failures, one entry per failed workload.
-pub fn try_sweep_all_with_workers_cached(
+pub fn try_sweep_all(
     workloads: &[Workload],
     workers: usize,
     tier: ExecTier,
@@ -71,8 +58,7 @@ pub fn try_sweep_all_with_workers_cached(
     let slots = par_map(workloads, workers, |w| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let program = w.build_default();
-            ModeSweep::run_with_tier_cached(w.name, &program, tier, cache)
-                .map_err(|e| e.to_string())
+            ModeSweep::run(w.name, &program, tier, cache).map_err(|e| e.to_string())
         }))
         .unwrap_or_else(|panic| Err(panic_message(&panic)))
     });
@@ -94,49 +80,16 @@ pub fn try_sweep_all_with_workers_cached(
     }
 }
 
-/// [`try_sweep_all_with_workers`] at the host's available parallelism.
-///
-/// # Errors
-///
-/// The list of per-workload failures, one entry per failed workload.
-pub fn try_sweep_all(workloads: &[Workload]) -> Result<Vec<ModeSweep>, Vec<SweepError>> {
-    try_sweep_all_with_workers(workloads, default_workers())
-}
-
-/// [`try_sweep_all_with_workers`], panicking with *all* failures when any
-/// workload fails (the `tables` binary's behaviour).
-#[must_use]
-pub fn sweep_all_with_workers(workloads: &[Workload], workers: usize) -> Vec<ModeSweep> {
-    match try_sweep_all_with_workers(workloads, workers) {
-        Ok(sweeps) => sweeps,
-        Err(errors) => {
-            let lines: Vec<String> = errors.iter().map(ToString::to_string).collect();
-            panic!(
-                "{} workload sweep(s) failed:\n  {}",
-                lines.len(),
-                lines.join("\n  ")
-            );
-        }
-    }
-}
-
-/// [`sweep_all_with_workers`] at the host's available parallelism.
-#[must_use]
-pub fn sweep_all(workloads: &[Workload]) -> Vec<ModeSweep> {
-    sweep_all_with_workers(workloads, default_workers())
-}
-
-/// [`sweep_all_with_workers`] on a chosen tier through an optional
-/// shared [`PlanCache`], panicking with *all* failures when any workload
+/// [`try_sweep_all`], panicking with *all* failures when any workload
 /// fails (the `tables` binary's behaviour).
 #[must_use]
-pub fn sweep_all_with_workers_cached(
+pub fn sweep_all(
     workloads: &[Workload],
     workers: usize,
     tier: ExecTier,
     cache: Option<&PlanCache>,
 ) -> Vec<ModeSweep> {
-    match try_sweep_all_with_workers_cached(workloads, workers, tier, cache) {
+    match try_sweep_all(workloads, workers, tier, cache) {
         Ok(sweeps) => sweeps,
         Err(errors) => {
             let lines: Vec<String> = errors.iter().map(ToString::to_string).collect();
@@ -278,22 +231,24 @@ pub mod fixtures {
 mod tests {
     use super::fixtures::promote_fixture;
     use ifp_hw::{IfpUnit, PromoteKind};
+    use ifp_vm::ExecTier;
 
     #[test]
     fn parallel_sweep_is_byte_identical_to_single_thread() {
         // Render a real sweep subset through the JSON emitter under 1 and
         // N workers: the output strings must match byte for byte.
         let workloads: Vec<_> = ifp_workloads::all().into_iter().take(2).collect();
-        let one = crate::render::json(&crate::sweep_all_with_workers(&workloads, 1));
-        let many = crate::render::json(&crate::sweep_all_with_workers(&workloads, 4));
+        let sweep = |workers| crate::sweep_all(&workloads, workers, ExecTier::Interp, None);
+        let one = crate::render::json(&sweep(1));
+        let many = crate::render::json(&sweep(4));
         assert_eq!(one, many);
     }
 
     #[test]
     fn parallel_cache_sweep_matches_single_thread() {
         assert_eq!(
-            crate::ablation::cache_sweep_with_workers(1),
-            crate::ablation::cache_sweep_with_workers(4)
+            crate::ablation::cache_sweep(1),
+            crate::ablation::cache_sweep(4)
         );
     }
 

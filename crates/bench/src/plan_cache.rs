@@ -7,7 +7,7 @@
 //! collapses to a handful of compiles, and the hit rate tells you how
 //! much of the suite's former per-run compile work the cache absorbed.
 
-use ifp_juliet::{all_cases, run_suite_with_workers_cached};
+use ifp_juliet::{all_cases, run_suite};
 use ifp_plancache::{CacheStats, PlanCache};
 use ifp_vm::{AllocatorKind, ExecTier, Mode};
 
@@ -42,11 +42,10 @@ pub fn juliet_suite(workers: usize) -> SuiteCache {
     ];
     let mut runs = 0u64;
     for mode in modes {
-        let _ =
-            run_suite_with_workers_cached(&cases, mode, workers, ExecTier::Interp, Some(&cache));
+        let _ = run_suite(&cases, mode, workers, ExecTier::Interp, Some(&cache));
         runs += cases.len() as u64;
     }
-    let jit = run_suite_with_workers_cached(
+    let jit = run_suite(
         &cases,
         Mode::instrumented(AllocatorKind::Subheap),
         workers,

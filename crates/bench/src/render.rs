@@ -357,7 +357,9 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let w = ifp_workloads::by_name("treeadd").unwrap();
-        let sweep = ifp::eval::ModeSweep::run("treeadd", &(w.build)(5)).unwrap();
+        let sweep =
+            ifp::eval::ModeSweep::run("treeadd", &(w.build)(5), ifp_vm::ExecTier::Interp, None)
+                .unwrap();
         let doc = json(&[sweep]);
         assert!(doc.starts_with('['));
         assert!(doc.ends_with(']'));

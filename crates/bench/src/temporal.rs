@@ -40,7 +40,7 @@ pub struct TemporalCost {
 /// temporal violations on correct programs is itself part of the
 /// claim).
 #[must_use]
-pub fn measure_sample_with_workers(workers: usize) -> Vec<TemporalCost> {
+pub fn measure_sample(workers: usize) -> Vec<TemporalCost> {
     let cells: Vec<(&'static str, TemporalPolicy)> = SAMPLE
         .iter()
         .flat_map(|&name| TemporalPolicy::ALL.into_iter().map(move |p| (name, p)))
@@ -61,12 +61,6 @@ pub fn measure_sample_with_workers(workers: usize) -> Vec<TemporalCost> {
             stats: r.stats,
         }
     })
-}
-
-/// [`measure_sample_with_workers`] on a single thread.
-#[must_use]
-pub fn measure_sample() -> Vec<TemporalCost> {
-    measure_sample_with_workers(1)
 }
 
 fn pct(new: u64, base: u64) -> f64 {
@@ -117,7 +111,7 @@ mod tests {
 
     fn costs() -> &'static [TemporalCost] {
         static COSTS: OnceLock<Vec<TemporalCost>> = OnceLock::new();
-        COSTS.get_or_init(measure_sample)
+        COSTS.get_or_init(|| measure_sample(1))
     }
 
     #[test]

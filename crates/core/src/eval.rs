@@ -40,7 +40,7 @@ pub fn modes() -> [Mode; 5] {
 }
 
 /// The statistics of one workload across all five configurations.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ModeSweep {
     /// Workload name.
     pub name: String,
@@ -57,43 +57,19 @@ pub struct ModeSweep {
 }
 
 impl ModeSweep {
-    /// Runs `program` under every configuration, checking that all five
-    /// produce identical output.
+    /// Runs `program` under every configuration on `tier`, through
+    /// `cache` when given, checking that all five produce identical
+    /// output. Tier and cache are host-speed choices: the sweep's
+    /// statistics are bit-identical for any of them (golden-gated), so
+    /// derived tables never depend on them. With a cache the five
+    /// configurations need only two compiled artifacts (baseline + one
+    /// instrumented — allocator and the promote ablation are not
+    /// compile inputs).
     ///
     /// # Errors
     ///
     /// Propagates the first failing run.
-    pub fn run(name: &str, program: &Program) -> Result<ModeSweep, VmError> {
-        Self::run_with_tier(name, program, ExecTier::default())
-    }
-
-    /// [`ModeSweep::run`] on a chosen execution tier. Tier choice is
-    /// host-speed only — the sweep's statistics are bit-identical across
-    /// tiers (golden-gated), so derived tables never depend on it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing run.
-    pub fn run_with_tier(
-        name: &str,
-        program: &Program,
-        tier: ExecTier,
-    ) -> Result<ModeSweep, VmError> {
-        Self::run_with_tier_cached(name, program, tier, None)
-    }
-
-    /// [`ModeSweep::run_with_tier`] through a shared [`PlanCache`]. The
-    /// five configurations need only two compiled artifacts (baseline +
-    /// one instrumented — allocator and the promote ablation are not
-    /// compile inputs), so a cache collapses the sweep's per-mode
-    /// compile work even before cross-workload sharing kicks in. With
-    /// `None` every mode compiles fresh; statistics are bit-identical
-    /// either way (golden-gated).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing run.
-    pub fn run_with_tier_cached(
+    pub fn run(
         name: &str,
         program: &Program,
         tier: ExecTier,
@@ -205,7 +181,7 @@ mod tests {
     #[test]
     fn sweep_runs_treeadd_in_all_modes() {
         let p = ifp_workloads::olden::treeadd::build(6);
-        let sweep = ModeSweep::run("treeadd", &p).unwrap();
+        let sweep = ModeSweep::run("treeadd", &p, ExecTier::Interp, None).unwrap();
         assert!(sweep.runtime_overhead(&sweep.wrapped) > 0.0);
         assert!(sweep.instr_ratio(&sweep.wrapped) > 1.0);
         // The no-promote variant is never slower than the full one.
@@ -217,15 +193,11 @@ mod tests {
     fn cached_sweep_is_byte_identical_and_compiles_twice() {
         let p = ifp_workloads::olden::treeadd::build(6);
         let cache = PlanCache::new();
-        let cold = ModeSweep::run("treeadd", &p).unwrap();
-        let warm =
-            ModeSweep::run_with_tier_cached("treeadd", &p, ExecTier::default(), Some(&cache))
-                .unwrap();
-        let warm2 =
-            ModeSweep::run_with_tier_cached("treeadd", &p, ExecTier::default(), Some(&cache))
-                .unwrap();
-        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
-        assert_eq!(format!("{cold:?}"), format!("{warm2:?}"));
+        let cold = ModeSweep::run("treeadd", &p, ExecTier::Interp, None).unwrap();
+        let warm = ModeSweep::run("treeadd", &p, ExecTier::Interp, Some(&cache)).unwrap();
+        let warm2 = ModeSweep::run("treeadd", &p, ExecTier::Interp, Some(&cache)).unwrap();
+        assert_eq!(cold, warm);
+        assert_eq!(cold, warm2);
         // 5 modes, 2 artifacts: baseline + one shared instrumented.
         let s = cache.stats();
         assert_eq!((s.misses, s.hits), (2, 8), "{s:?}");

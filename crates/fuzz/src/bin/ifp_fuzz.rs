@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! ifp-fuzz campaign [--seed S] [--iters N] [--workers W]
-//!                   [--corpus DIR] [--elide-checks] [--exec-tier jit]
-//!                   [--plan-cache] [--interproc] [--fail-on-finding]
+//!                   [--corpus DIR] [--schedule uniform|coverage]
+//!                   [--fail-on-finding]
 //! ifp-fuzz replay FILE...
 //! ifp-fuzz shrink FILE [-o OUT]
 //! ```
@@ -25,14 +25,24 @@ ifp-fuzz: differential fuzzing of the In-Fat Pointer toolchain
 USAGE:
     ifp-fuzz campaign [--seed S] [--iters N] [--workers W]
                       [--corpus DIR] [--schedule uniform|coverage]
-                      [--elide-checks] [--exec-tier jit]
-                      [--plan-cache] [--interproc] [--fail-on-finding]
+                      [--fail-on-finding]
     ifp-fuzz temporal [--seed S] [--iters N] [--workers W]
                       [--fail-on-finding]
     ifp-fuzz concurrent [--seed S] [--iters N] [--workers W]
                         [--fail-on-finding]
     ifp-fuzz replay FILE...
     ifp-fuzz shrink FILE [-o OUT]
+
+CAMPAIGN:
+    Every case runs under baseline, wrapped, subheap and no-promote
+    modes, the SoftBound/ASan/MTE models, and the config table: each
+    instrumented allocator rerun with check elision off and on, on the
+    interp and jit tiers, compiled fresh, through a plan cache (miss,
+    then hit), and through a capacity-poisoned cache (cold, then
+    reuse). Tier and compile path must leave the whole observation
+    unchanged (every modeled statistic included); elision must leave
+    the verdict, trap, exit code and output unchanged. Any other
+    difference is a config_divergence finding.
 
 CAMPAIGN OPTIONS:
     --seed S            campaign seed, decimal or 0x-hex (default 0)
@@ -42,23 +52,6 @@ CAMPAIGN OPTIONS:
     --corpus DIR        persist minimized findings as JSON under DIR
     --schedule X        ticket scheduling: uniform (default) or
                         coverage (inverse cell-frequency weighting)
-    --elide-checks      rerun each instrumented mode with statically-
-                        proven check elision; any verdict or output
-                        change is an elision_divergence finding
-    --exec-tier jit     rerun each instrumented mode on the fused jit
-                        execution tier; any verdict, output, or modeled-
-                        statistic change is a tier_divergence finding
-                        (`--exec-tier interp` is the no-op default)
-    --plan-cache        rerun each instrumented mode (both execution
-                        tiers, twice each) through a deliberately
-                        capacity-poisoned compiled-artifact cache; any
-                        verdict, output, or modeled-statistic change is
-                        a cache_divergence finding
-    --interproc         rerun each instrumented mode with the inter-
-                        procedural summary-informed elision plan on both
-                        execution tiers, fresh and through an artifact
-                        cache; any verdict, output, or modeled-statistic
-                        change is an interproc_divergence finding
     --fail-on-finding   exit nonzero if any finding is produced
 
 TEMPORAL:
@@ -79,8 +72,8 @@ CONCURRENT:
 
 REPLAY:
     Re-evaluates each corpus file's minimized spec through the full
-    differential oracle and prints per-mode outcomes, disagreements,
-    and a fresh forensic report.
+    differential oracle (config table included) and prints per-mode
+    outcomes, disagreements, and a fresh forensic report.
 
 SHRINK:
     Re-shrinks a corpus file's original spec (useful after oracle
@@ -113,10 +106,6 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
         workers: ifp_testutil::default_workers(),
         corpus_dir: None,
         schedule: Schedule::Uniform,
-        elide_checks: false,
-        tier_checks: false,
-        plan_cache_checks: false,
-        interproc_checks: false,
     };
     let mut fail_on_finding = false;
     let mut it = args.iter();
@@ -148,29 +137,6 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
                     .map(|s| config.schedule = s)
                     .ok_or(format!("bad schedule `{v}` (uniform|coverage)"))
             }),
-            "--elide-checks" => {
-                config.elide_checks = true;
-                Ok(())
-            }
-            "--exec-tier" => value("--exec-tier").and_then(|v| match v.as_str() {
-                "jit" => {
-                    config.tier_checks = true;
-                    Ok(())
-                }
-                "interp" => {
-                    config.tier_checks = false;
-                    Ok(())
-                }
-                other => Err(format!("bad exec tier `{other}` (interp|jit)")),
-            }),
-            "--plan-cache" => {
-                config.plan_cache_checks = true;
-                Ok(())
-            }
-            "--interproc" => {
-                config.interproc_checks = true;
-                Ok(())
-            }
             "--fail-on-finding" => {
                 fail_on_finding = true;
                 Ok(())
@@ -324,9 +290,10 @@ fn cmd_replay(paths: &[String]) -> ExitCode {
         );
         println!("  recorded: {}", names(&finding));
         let eval = evaluate(&finding.spec);
-        for (mode, outcome) in &eval.runs {
-            println!("  {mode:<12} {}", outcome.label());
+        for (mode, observation) in &eval.runs {
+            println!("  {mode:<12} {}", observation.verdict.label());
         }
+        println!("  config table: {} rows compared", eval.compared.len());
         if eval.disagreements.is_empty() {
             println!("  verdict: no longer reproduces");
         } else {

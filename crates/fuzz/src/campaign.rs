@@ -14,7 +14,7 @@
 
 use crate::corpus::{write_corpus, Finding};
 use crate::mutate::mutate;
-use crate::oracle::{evaluate_with, forensic_text, Disagreement, FindingClass, OracleOptions};
+use crate::oracle::{evaluate, forensic_text, Disagreement, FindingClass};
 use crate::shrink::shrink_with;
 use crate::spec::CaseSpec;
 use ifp_juliet::{CaseKind, Site, Variant, ALL_CWES};
@@ -76,27 +76,6 @@ pub struct CampaignConfig {
     pub corpus_dir: Option<PathBuf>,
     /// Ticket scheduling strategy.
     pub schedule: Schedule,
-    /// Add the check-elision differential legs to every oracle run: each
-    /// instrumented mode reruns with `elide_checks` and any verdict or
-    /// output change is an `elision_divergence` finding.
-    pub elide_checks: bool,
-    /// Add the execution-tier differential legs to every oracle run:
-    /// each instrumented mode reruns on the jit tier and any verdict,
-    /// output, or modeled-statistic change is a `tier_divergence`
-    /// finding.
-    pub tier_checks: bool,
-    /// Add the plan-cache differential legs to every oracle run: each
-    /// instrumented mode (interpreter and jit tiers) reruns twice
-    /// through a deliberately capacity-poisoned artifact cache and any
-    /// verdict, output, or modeled-statistic change is a
-    /// `cache_divergence` finding.
-    pub plan_cache_checks: bool,
-    /// Add the combined inter-procedural differential legs to every
-    /// oracle run: each instrumented mode reruns with the
-    /// summary-informed elision plan on both execution tiers, fresh and
-    /// through an artifact cache, and any verdict, output, or
-    /// modeled-statistic change is an `interproc_divergence` finding.
-    pub interproc_checks: bool,
 }
 
 impl Default for CampaignConfig {
@@ -107,10 +86,6 @@ impl Default for CampaignConfig {
             workers: 1,
             corpus_dir: None,
             schedule: Schedule::Uniform,
-            elide_checks: false,
-            tier_checks: false,
-            plan_cache_checks: false,
-            interproc_checks: false,
         }
     }
 }
@@ -275,12 +250,6 @@ pub fn coverage_guided_specs(seed: u64, iterations: u64) -> Vec<CaseSpec> {
 #[must_use]
 pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
     let next = AtomicU64::new(0);
-    let opts = OracleOptions {
-        elide_differential: config.elide_checks,
-        tier_differential: config.tier_checks,
-        plan_cache_differential: config.plan_cache_checks,
-        interproc_differential: config.interproc_checks,
-    };
     let raw_findings: Mutex<Vec<(u64, CaseSpec, Vec<Disagreement>)>> = Mutex::new(Vec::new());
     let workers = config.workers.max(1);
     // Coverage-guided selection is inherently sequential (each choice
@@ -313,8 +282,7 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
                             }
                         }
                         let spec_for_eval = spec.clone();
-                        match catch_unwind(AssertUnwindSafe(|| evaluate_with(&spec_for_eval, opts)))
-                        {
+                        match catch_unwind(AssertUnwindSafe(|| evaluate(&spec_for_eval))) {
                             Ok(eval) => {
                                 local_instrs += eval.modeled_instrs;
                                 if !eval.disagreements.is_empty() {
@@ -370,7 +338,7 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
         .map(|(iteration, original, disagreements)| {
             let classes: BTreeSet<FindingClass> = disagreements.iter().map(|d| d.class).collect();
             let spec = shrink_with(&original, |cand| {
-                let out = catch_unwind(AssertUnwindSafe(|| evaluate_with(cand, opts)));
+                let out = catch_unwind(AssertUnwindSafe(|| evaluate(cand)));
                 match out {
                     Ok(eval) => eval
                         .disagreements
@@ -455,22 +423,6 @@ impl CampaignReport {
         s.push_str(&format!("  iterations  {}\n", self.config.iterations));
         s.push_str(&format!("  workers     {}\n", self.config.workers.max(1)));
         s.push_str(&format!("  schedule    {}\n", self.config.schedule.name()));
-        if self.config.elide_checks {
-            s.push_str("  elision     differential on (wrapped + subheap rerun elided)\n");
-        }
-        if self.config.tier_checks {
-            s.push_str("  exec tier   differential on (wrapped + subheap rerun on jit)\n");
-        }
-        if self.config.plan_cache_checks {
-            s.push_str(
-                "  plan cache  differential on (both tiers rerun through a poisoned cache)\n",
-            );
-        }
-        if self.config.interproc_checks {
-            s.push_str(
-                "  interproc   differential on (elided plan rerun on both tiers through a cache)\n",
-            );
-        }
         s.push_str(&format!(
             "  elapsed     {:.2}s ({:.0} iters/sec)\n",
             self.elapsed.as_secs_f64(),
@@ -543,134 +495,44 @@ mod tests {
 
     #[test]
     fn small_campaign_is_clean_and_covers_cells() {
-        let report = run_campaign(&CampaignConfig {
-            seed: 0x5eed,
-            iterations: 60,
-            workers: 2,
-            corpus_dir: None,
-            schedule: Schedule::Uniform,
-            elide_checks: false,
-            tier_checks: false,
-            plan_cache_checks: false,
-            interproc_checks: false,
-        });
-        assert!(
-            report.findings.is_empty(),
-            "{:#?}",
-            report
-                .findings
-                .iter()
-                .map(|f| (&f.spec, &f.disagreements))
-                .collect::<Vec<_>>()
-        );
-        assert!(!report.coverage.is_empty());
-        assert!(report.coverage.len() <= report.total_cells);
-        // Every iteration runs the five-mode oracle, so the throughput
-        // denominator cannot be empty.
-        assert!(report.modeled_instrs > 0);
-        let rendered = report.render();
-        assert!(rendered.contains("iterations  60"), "{rendered}");
-        assert!(rendered.contains("instrs/sec"), "{rendered}");
-    }
-
-    #[test]
-    fn elide_differential_campaign_is_clean() {
-        let report = run_campaign(&CampaignConfig {
-            seed: 0xe11d,
-            iterations: 40,
-            workers: 2,
-            corpus_dir: None,
-            schedule: Schedule::Uniform,
-            elide_checks: true,
-            tier_checks: false,
-            plan_cache_checks: false,
-            interproc_checks: false,
-        });
-        assert!(
-            report.findings.is_empty(),
-            "{:#?}",
-            report
-                .findings
-                .iter()
-                .map(|f| (&f.spec, &f.disagreements))
-                .collect::<Vec<_>>()
-        );
-        assert!(report.render().contains("elision     differential on"));
-    }
-
-    #[test]
-    fn tier_differential_campaign_is_clean() {
-        let report = run_campaign(&CampaignConfig {
-            seed: 0x71e4,
-            iterations: 40,
-            workers: 2,
-            corpus_dir: None,
-            schedule: Schedule::Uniform,
-            elide_checks: false,
-            tier_checks: true,
-            plan_cache_checks: false,
-            interproc_checks: false,
-        });
-        assert!(
-            report.findings.is_empty(),
-            "{:#?}",
-            report
-                .findings
-                .iter()
-                .map(|f| (&f.spec, &f.disagreements))
-                .collect::<Vec<_>>()
-        );
-        assert!(report.render().contains("exec tier   differential on"));
-    }
-
-    #[test]
-    fn plan_cache_differential_campaign_is_clean() {
-        let report = run_campaign(&CampaignConfig {
-            seed: 0xcac4e,
-            iterations: 40,
-            workers: 2,
-            corpus_dir: None,
-            schedule: Schedule::Uniform,
-            elide_checks: false,
-            tier_checks: false,
-            plan_cache_checks: true,
-            interproc_checks: false,
-        });
-        assert!(
-            report.findings.is_empty(),
-            "{:#?}",
-            report
-                .findings
-                .iter()
-                .map(|f| (&f.spec, &f.disagreements))
-                .collect::<Vec<_>>()
-        );
-        assert!(report.render().contains("plan cache  differential on"));
-    }
-
-    #[test]
-    fn interproc_differential_campaign_is_clean() {
-        let report = run_campaign(&CampaignConfig {
-            seed: 0x1f7e2,
-            iterations: 40,
-            workers: 2,
-            corpus_dir: None,
-            schedule: Schedule::Uniform,
-            elide_checks: false,
-            tier_checks: false,
-            plan_cache_checks: false,
-            interproc_checks: true,
-        });
-        assert!(
-            report.findings.is_empty(),
-            "{:#?}",
-            report
-                .findings
-                .iter()
-                .map(|f| (&f.spec, &f.disagreements))
-                .collect::<Vec<_>>()
-        );
-        assert!(report.render().contains("interproc   differential on"));
+        // The first campaign is this test's own; 0xe11d, 0x71e4, 0xcac4e
+        // and 0x1f7e2 are pinned inputs from the elision, tier,
+        // plan-cache and interproc differential campaigns.
+        for (seed, iterations) in [
+            (0x5eed, 60),
+            (0xe11d, 40),
+            (0x71e4, 40),
+            (0xcac4e, 40),
+            (0x1f7e2, 40),
+        ] {
+            let report = run_campaign(&CampaignConfig {
+                seed,
+                iterations,
+                workers: 2,
+                corpus_dir: None,
+                schedule: Schedule::Uniform,
+            });
+            assert!(
+                report.findings.is_empty(),
+                "{seed:#x}: {:#?}",
+                report
+                    .findings
+                    .iter()
+                    .map(|f| (&f.spec, &f.disagreements))
+                    .collect::<Vec<_>>()
+            );
+            assert!(!report.coverage.is_empty());
+            assert!(report.coverage.len() <= report.total_cells);
+            // Every iteration runs the five-mode oracle and the config
+            // table, so the throughput denominator cannot be empty.
+            assert!(report.modeled_instrs > 0);
+            let rendered = report.render();
+            assert!(
+                rendered.contains(&format!("iterations  {iterations}")),
+                "{rendered}"
+            );
+            assert!(rendered.contains("instrs/sec"), "{rendered}");
+        }
     }
 
     #[test]
@@ -707,10 +569,6 @@ mod tests {
             workers: 2,
             corpus_dir: None,
             schedule: Schedule::CoverageGuided,
-            elide_checks: false,
-            tier_checks: false,
-            plan_cache_checks: false,
-            interproc_checks: false,
         };
         let guided = run_campaign(&base);
         assert!(

@@ -10,7 +10,9 @@
 //! Every program then runs through a differential oracle
 //! ([`oracle::evaluate`]): the VM in baseline, instrumented (both
 //! allocators), and no-promote modes, plus the analytic baseline
-//! defenses (SoftBound, ASan, MTE) from `ifp_baselines`. The oracle
+//! defenses (SoftBound, ASan, MTE) from `ifp_baselines`, and a config
+//! table that reruns each instrumented allocator across check elision,
+//! execution tier and compile path. The oracle
 //! knows what each configuration *must* do — baseline completes good
 //! cases, instrumented runs trap exactly the planted bugs, no-promote
 //! misses only loaded-pointer flows, the defense implementations match
@@ -46,9 +48,7 @@ pub use concurrent::{
 };
 pub use corpus::{load_finding, write_corpus, Finding};
 pub use mutate::mutate;
-pub use oracle::{
-    evaluate, evaluate_with, Disagreement, Evaluation, FindingClass, OracleOptions, RunOutcome,
-};
+pub use oracle::{evaluate, Disagreement, Evaluation, FindingClass};
 pub use shrink::shrink_with;
 pub use spec::CaseSpec;
 pub use temporal::{

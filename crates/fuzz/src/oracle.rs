@@ -15,8 +15,12 @@
 //!   field steps narrow bounds statically) but is excused on
 //!   `LoadedFlow` cases, where detection depends on promote narrowing —
 //!   those may complete, trap, or crash.
-//! * Rerunning an instrumented mode must reproduce the outcome and
-//!   output byte-for-byte (determinism).
+//! * Rerunning an instrumented mode must reproduce its observation
+//!   exactly (determinism).
+//! * Every row of the config table — each instrumented allocator rerun
+//!   across check elision, execution tier and compile path — must match
+//!   its reference row: whole for tier and compile path, everything but
+//!   `RunStats` for elision.
 //! * Each `ifp_baselines` defense is compared against an *analytic*
 //!   model of its mechanism (exact bounds for SoftBound, redzone bands
 //!   with partial granules for ASan, granule tags for MTE) evaluated on
@@ -24,10 +28,11 @@
 
 use crate::spec::{CaseSpec, Resolved};
 use ifp_baselines::{Asan, Defense, Mte, PtrMeta, SoftBound};
+use ifp_compiler::Program;
 use ifp_juliet::{CaseKind, Variant};
 use ifp_plancache::PlanCache;
 use ifp_trace::TraceConfig;
-use ifp_vm::{run, AllocatorKind, ExecTier, Mode, RunResult, VmConfig, VmError};
+use ifp_vm::{run, AllocatorKind, ExecTier, Mode, Observation, Verdict, VmConfig, VmError};
 use std::fmt;
 
 /// Address the defense models place the object at (granule-aligned for
@@ -36,46 +41,6 @@ const MODEL_BASE: u64 = 0x1_0000;
 
 /// Instruction budget per run; generated programs are tiny.
 const FUEL: u64 = 10_000_000;
-
-/// What one VM run did.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// Ran to completion.
-    Completed {
-        /// `main`'s return value.
-        exit: i64,
-        /// Everything printed.
-        output: Vec<i64>,
-    },
-    /// Stopped by a spatial-safety trap at a check.
-    Detected {
-        /// Trap rendering.
-        trap: String,
-    },
-    /// Stopped by a non-safety trap (wild page fault).
-    TrappedOther {
-        /// Trap rendering.
-        trap: String,
-    },
-    /// Stopped outside the detection model.
-    Errored {
-        /// Error rendering.
-        error: String,
-    },
-}
-
-impl RunOutcome {
-    /// Short outcome label for summaries ("completed", "detected", ...).
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            RunOutcome::Completed { .. } => "completed",
-            RunOutcome::Detected { .. } => "detected",
-            RunOutcome::TrappedOther { .. } => "trapped-other",
-            RunOutcome::Errored { .. } => "errored",
-        }
-    }
-}
 
 /// Classification of an oracle disagreement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -97,26 +62,28 @@ pub enum FindingClass {
     DefenseDisagree,
     /// The generator emitted IR the `ifp-analyze` verifier rejects.
     MalformedIr,
-    /// Rerunning an instrumented mode with statically-proven check
-    /// elision changed the verdict or the output.
-    ElisionDivergence,
-    /// Rerunning an instrumented mode on the jit execution tier changed
-    /// the verdict, the output, or any modeled statistic.
-    TierDivergence,
-    /// Rerunning a mode through a capacity-poisoned artifact cache
-    /// (evict/recompile churn) changed the verdict, the output, or any
-    /// modeled statistic.
-    CacheDivergence,
-    /// The combined inter-procedural leg — check elision under the
-    /// summary-informed plan, executed on both tiers through the
-    /// artifact cache — changed the verdict, the output, or diverged
-    /// across tiers or cache paths on any modeled statistic.
-    InterprocDivergence,
+    /// A row of the oracle's config table observed something its
+    /// reference row's equality forbids.
+    ConfigDivergence,
     /// The harness itself panicked while evaluating the case.
     HarnessPanic,
 }
 
 impl FindingClass {
+    /// Every class, in serialization order.
+    pub(crate) const ALL: [FindingClass; 10] = [
+        FindingClass::FalseTrap,
+        FindingClass::MissedBug,
+        FindingClass::EscapedCheck,
+        FindingClass::VmError,
+        FindingClass::OutputDivergence,
+        FindingClass::Nondeterminism,
+        FindingClass::DefenseDisagree,
+        FindingClass::MalformedIr,
+        FindingClass::ConfigDivergence,
+        FindingClass::HarnessPanic,
+    ];
+
     /// Stable serialization name.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -129,10 +96,7 @@ impl FindingClass {
             FindingClass::Nondeterminism => "nondeterminism",
             FindingClass::DefenseDisagree => "defense_disagree",
             FindingClass::MalformedIr => "malformed_ir",
-            FindingClass::ElisionDivergence => "elision_divergence",
-            FindingClass::TierDivergence => "tier_divergence",
-            FindingClass::CacheDivergence => "cache_divergence",
-            FindingClass::InterprocDivergence => "interproc_divergence",
+            FindingClass::ConfigDivergence => "config_divergence",
             FindingClass::HarnessPanic => "harness_panic",
         }
     }
@@ -140,23 +104,7 @@ impl FindingClass {
     /// Parses a [`FindingClass::name`] string back.
     #[must_use]
     pub fn from_name(s: &str) -> Option<FindingClass> {
-        [
-            FindingClass::FalseTrap,
-            FindingClass::MissedBug,
-            FindingClass::EscapedCheck,
-            FindingClass::VmError,
-            FindingClass::OutputDivergence,
-            FindingClass::Nondeterminism,
-            FindingClass::DefenseDisagree,
-            FindingClass::MalformedIr,
-            FindingClass::ElisionDivergence,
-            FindingClass::TierDivergence,
-            FindingClass::CacheDivergence,
-            FindingClass::InterprocDivergence,
-            FindingClass::HarnessPanic,
-        ]
-        .into_iter()
-        .find(|c| c.name() == s)
+        FindingClass::ALL.into_iter().find(|c| c.name() == s)
     }
 }
 
@@ -178,127 +126,243 @@ pub struct Disagreement {
 /// Everything the oracle observed for one spec.
 #[derive(Clone, Debug)]
 pub struct Evaluation {
-    /// Outcome per mode, in run order (baseline, wrapped, subheap,
+    /// Observation per mode, in run order (baseline, wrapped, subheap,
     /// no-promote).
-    pub runs: Vec<(String, RunOutcome)>,
+    pub runs: Vec<(String, Observation)>,
+    /// The config-table rows checked against their reference rows
+    /// (every row but the two reference runs; none when the verifier
+    /// rejected the program).
+    pub compared: Vec<ConfigRow>,
     /// Every disagreement found. Empty = the case agrees everywhere.
     pub disagreements: Vec<Disagreement>,
     /// Modeled instructions executed across every run the oracle made
-    /// (including the determinism rerun) — the campaign's throughput
-    /// denominator.
+    /// (including the determinism rerun and the config table) — the
+    /// campaign's throughput denominator.
     pub modeled_instrs: u64,
 }
 
-/// Runs `program` under `mode` and classifies the result, also
-/// reporting the modeled instructions executed (up to the trap for
-/// trapping runs, zero for harness-level errors).
-#[must_use]
-pub fn run_mode_counted(program: &ifp_compiler::Program, mode: Mode) -> (RunOutcome, u64) {
-    let mut cfg = VmConfig::with_mode(mode);
-    cfg.fuel = FUEL;
-    run_config_counted(program, &cfg)
+/// How a config-table row obtains its compiled artifact.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CompilePath {
+    /// Compiled for this run alone.
+    Fresh,
+    /// First lookup of its key in a default-budget [`PlanCache`].
+    CacheMiss,
+    /// Second lookup of the same key, served from that cache.
+    CacheHit,
+    /// First lookup in a [`PlanCache::poisoned`] cache, whose insert
+    /// evicts earlier artifacts.
+    PoisonedCold,
+    /// Second lookup in the poisoned cache: a hit, or a recompile when
+    /// the artifact was already evicted.
+    PoisonedReuse,
 }
 
-fn run_config_counted(program: &ifp_compiler::Program, cfg: &VmConfig) -> (RunOutcome, u64) {
-    match run(program, cfg) {
-        Ok(r) => (
-            RunOutcome::Completed {
-                exit: r.exit_code,
-                output: r.output,
-            },
-            r.stats.total_instrs(),
-        ),
-        Err(VmError::Trap {
-            trap, func, stats, ..
-        }) => {
-            let outcome = if trap.is_safety_violation() {
-                RunOutcome::Detected {
-                    trap: format!("{trap} in `{func}`"),
-                }
-            } else {
-                RunOutcome::TrappedOther {
-                    trap: format!("{trap} in `{func}`"),
-                }
-            };
-            (outcome, stats.total_instrs())
+impl CompilePath {
+    /// Every path, in run order.
+    pub(crate) const ALL: [CompilePath; 5] = [
+        CompilePath::Fresh,
+        CompilePath::CacheMiss,
+        CompilePath::CacheHit,
+        CompilePath::PoisonedCold,
+        CompilePath::PoisonedReuse,
+    ];
+
+    /// Stable label.
+    #[must_use]
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            CompilePath::Fresh => "fresh",
+            CompilePath::CacheMiss => "cache-miss",
+            CompilePath::CacheHit => "cache-hit",
+            CompilePath::PoisonedCold => "poisoned-cold",
+            CompilePath::PoisonedReuse => "poisoned-reuse",
         }
-        Err(e) => (
-            RunOutcome::Errored {
-                error: e.to_string(),
-            },
-            0,
-        ),
     }
 }
 
-/// Runs `program` under `mode` and classifies the result.
-#[must_use]
-pub fn run_mode(program: &ifp_compiler::Program, mode: Mode) -> RunOutcome {
-    run_mode_counted(program, mode).0
+/// What a config-table row must share with its reference row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Equality {
+    /// The whole [`Observation`], every modeled statistic included:
+    /// tier and compile path are host-speed choices the model must not
+    /// see.
+    Whole,
+    /// Everything but `RunStats` ([`Observation::same_behaviour`]):
+    /// check elision may save modeled work, never change the verdict,
+    /// the trap, the exit code or the output.
+    Behaviour,
 }
 
-/// [`run_mode_counted`] with `elide_checks` enabled: the `ifp-analyze`
-/// interval analysis runs over the program and every statically proven
-/// check, tag update, and dead promote is skipped.
+/// One configuration of the config table: an instrumented allocator
+/// rerun with the host-side axes set.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ConfigRow {
+    /// Heap allocator of the instrumented mode.
+    pub allocator: AllocatorKind,
+    /// `VmConfig::elide_checks`.
+    pub elide_checks: bool,
+    /// `VmConfig::exec_tier`.
+    pub tier: ExecTier,
+    /// Where the compiled artifact comes from.
+    pub path: CompilePath,
+}
+
+impl ConfigRow {
+    /// The row this one is checked against, and the equality it must
+    /// meet. A row that differs from (allocator, elision, interp,
+    /// fresh) in tier or compile path must match it whole; an elided
+    /// (interp, fresh) row must behave like its unelided twin. `None`
+    /// for (allocator, elide off, interp, fresh): that reference is the
+    /// oracle's instrumented matrix run itself.
+    #[must_use]
+    pub(crate) fn reference(self) -> Option<(ConfigRow, Equality)> {
+        if self.tier != ExecTier::Interp || self.path != CompilePath::Fresh {
+            let reference = ConfigRow {
+                tier: ExecTier::Interp,
+                path: CompilePath::Fresh,
+                ..self
+            };
+            Some((reference, Equality::Whole))
+        } else if self.elide_checks {
+            let reference = ConfigRow {
+                elide_checks: false,
+                ..self
+            };
+            Some((reference, Equality::Behaviour))
+        } else {
+            None
+        }
+    }
+
+    fn config(self) -> VmConfig {
+        let mut cfg = config(Mode::instrumented(self.allocator));
+        cfg.elide_checks = self.elide_checks;
+        cfg.exec_tier = self.tier;
+        cfg
+    }
+}
+
+impl fmt::Display for ConfigRow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}/{}/{}/{}",
+            self.allocator,
+            if self.elide_checks {
+                "elide-on"
+            } else {
+                "elide-off"
+            },
+            self.tier,
+            self.path.name()
+        )
+    }
+}
+
+/// The config table: each instrumented allocator × elide {off, on} ×
+/// tier {interp, jit} × [`CompilePath::ALL`], in run order (a cache hit
+/// runs after its miss, a poisoned reuse after its cold run). A new
+/// host-side axis is one more factor here.
 #[must_use]
-pub fn run_mode_elided_counted(program: &ifp_compiler::Program, mode: Mode) -> (RunOutcome, u64) {
+pub(crate) fn config_table() -> Vec<ConfigRow> {
+    let mut rows = Vec::new();
+    for allocator in AllocatorKind::ALL {
+        for elide_checks in [false, true] {
+            for tier in [ExecTier::Interp, ExecTier::Jit] {
+                for path in CompilePath::ALL {
+                    rows.push(ConfigRow {
+                        allocator,
+                        elide_checks,
+                        tier,
+                        path,
+                    });
+                }
+            }
+        }
+    }
+    rows
+}
+
+/// Checks every row of `table` that has a reference against that
+/// reference, `observed[i]` being row `i`'s observation. Each failing
+/// row yields one [`FindingClass::ConfigDivergence`] whose detail
+/// starts with the row's label.
+fn compare_rows(table: &[ConfigRow], observed: &[Observation]) -> Vec<Disagreement> {
+    assert_eq!(table.len(), observed.len(), "one observation per row");
+    let mut out = Vec::new();
+    for (row, got) in table.iter().zip(observed) {
+        let Some((reference, equality)) = row.reference() else {
+            continue;
+        };
+        let want = &observed[table
+            .iter()
+            .position(|r| *r == reference)
+            .expect("reference rows are in the table")];
+        let what = if !got.same_behaviour(want) {
+            format!("{} where {reference} {}", got.describe(), want.describe())
+        } else if equality == Equality::Whole && got.stats != want.stats {
+            format!("modeled statistics differ from {reference}")
+        } else {
+            continue;
+        };
+        push(
+            &mut out,
+            FindingClass::ConfigDivergence,
+            format!("{row}: {what}"),
+        );
+    }
+    out
+}
+
+/// The oracle's VM configuration for `mode`.
+fn config(mode: Mode) -> VmConfig {
     let mut cfg = VmConfig::with_mode(mode);
     cfg.fuel = FUEL;
-    cfg.elide_checks = true;
-    run_config_counted(program, &cfg)
+    cfg
 }
 
-/// Like [`run_config_counted`], but additionally digests the complete
-/// [`ifp_vm::RunStats`] (its `Debug` rendering, byte-exact) so two runs
-/// can be compared on *every* modeled statistic, not just the verdict.
-/// The digest is empty for harness-level errors, which carry no stats.
-fn run_config_digest(program: &ifp_compiler::Program, cfg: &VmConfig) -> (RunOutcome, String, u64) {
-    digest_result(run(program, cfg))
+/// Runs `program` under `cfg`, through `cache` when given, and observes
+/// the result — the oracle's one way to run a program.
+fn observe(program: &Program, cfg: &VmConfig, cache: Option<&PlanCache>) -> Observation {
+    Observation::of(&match cache {
+        Some(c) => c.run(program, cfg),
+        None => run(program, cfg),
+    })
 }
 
-/// Like [`run_config_digest`], but routes compilation through an
-/// artifact cache. Execution semantics must be unaffected by whether
-/// the compiled artifact was a hit, a miss, or an eviction casualty.
-fn run_config_digest_cached(
-    program: &ifp_compiler::Program,
-    cfg: &VmConfig,
-    cache: &PlanCache,
-) -> (RunOutcome, String, u64) {
-    digest_result(cache.run(program, cfg))
-}
-
-fn digest_result(result: Result<RunResult, VmError>) -> (RunOutcome, String, u64) {
-    match result {
-        Ok(r) => (
-            RunOutcome::Completed {
-                exit: r.exit_code,
-                output: r.output,
-            },
-            format!("{:?}", r.stats),
-            r.stats.total_instrs(),
-        ),
-        Err(VmError::Trap {
-            trap, func, stats, ..
-        }) => {
-            let outcome = if trap.is_safety_violation() {
-                RunOutcome::Detected {
-                    trap: format!("{trap} in `{func}`"),
-                }
-            } else {
-                RunOutcome::TrappedOther {
-                    trap: format!("{trap} in `{func}`"),
-                }
+/// Runs every config-table row, reusing the matrix's reference runs.
+fn observe_table(
+    program: &Program,
+    table: &[ConfigRow],
+    wrapped: &Observation,
+    subheap: &Observation,
+) -> Vec<Observation> {
+    // One cache pair per allocator: the artifact key leaves the
+    // allocator out, so sharing would turn the second allocator's miss
+    // and cold rows into hits.
+    let caches = AllocatorKind::ALL.map(|a| (a, PlanCache::new(), PlanCache::poisoned()));
+    table
+        .iter()
+        .map(|row| {
+            if row.reference().is_none() {
+                return match row.allocator {
+                    AllocatorKind::Wrapped => wrapped.clone(),
+                    AllocatorKind::Subheap => subheap.clone(),
+                };
+            }
+            let (_, plain, poisoned) = caches
+                .iter()
+                .find(|(a, _, _)| *a == row.allocator)
+                .expect("every allocator has caches");
+            let cache = match row.path {
+                CompilePath::Fresh => None,
+                CompilePath::CacheMiss | CompilePath::CacheHit => Some(plain),
+                CompilePath::PoisonedCold | CompilePath::PoisonedReuse => Some(poisoned),
             };
-            (outcome, format!("{stats:?}"), stats.total_instrs())
-        }
-        Err(e) => (
-            RunOutcome::Errored {
-                error: e.to_string(),
-            },
-            String::new(),
-            0,
-        ),
-    }
+            observe(program, &row.config(), cache)
+        })
+        .collect()
 }
 
 /// Reruns the instrumented (subheap) mode with full tracing and renders
@@ -307,8 +371,7 @@ fn digest_result(result: Result<RunResult, VmError>) -> (RunOutcome, String, u64
 #[must_use]
 pub fn forensic_text(spec: &CaseSpec) -> String {
     let program = spec.build_program();
-    let mut cfg = VmConfig::with_mode(Mode::instrumented(AllocatorKind::Subheap));
-    cfg.fuel = FUEL;
+    let mut cfg = config(Mode::instrumented(AllocatorKind::Subheap));
     cfg.trace = TraceConfig::all();
     match run(&program, &cfg) {
         Ok(_) => "no trap raised under the instrumented run (completed)".into(),
@@ -334,34 +397,19 @@ fn push(out: &mut Vec<Disagreement>, class: FindingClass, detail: impl Into<Stri
 }
 
 /// Expectation for a fully instrumented run.
-fn check_instrumented(
-    out: &mut Vec<Disagreement>,
-    label: &str,
-    kind: CaseKind,
-    outcome: &RunOutcome,
-) {
-    match (kind, outcome) {
-        (CaseKind::Good, RunOutcome::Completed { .. })
-        | (CaseKind::Bad, RunOutcome::Detected { .. }) => {}
-        (CaseKind::Good, o) => push(
-            out,
-            FindingClass::FalseTrap,
-            format!("{label}: good case {}", o.label()),
-        ),
-        (CaseKind::Bad, RunOutcome::Completed { .. }) => push(
-            out,
-            FindingClass::MissedBug,
-            format!("{label}: bad case completed undetected"),
-        ),
-        (CaseKind::Bad, RunOutcome::TrappedOther { trap }) => push(
-            out,
-            FindingClass::EscapedCheck,
-            format!("{label}: bad case crashed past the checks ({trap})"),
-        ),
-        (CaseKind::Bad, RunOutcome::Errored { error }) => {
-            push(out, FindingClass::VmError, format!("{label}: {error}"))
-        }
-    }
+fn check_instrumented(out: &mut Vec<Disagreement>, label: &str, kind: CaseKind, o: &Observation) {
+    let class = match (kind, o.verdict) {
+        (CaseKind::Good, Verdict::Completed) | (CaseKind::Bad, Verdict::SafetyTrap) => return,
+        (CaseKind::Good, _) => FindingClass::FalseTrap,
+        (CaseKind::Bad, Verdict::Completed) => FindingClass::MissedBug,
+        (CaseKind::Bad, Verdict::OtherTrap) => FindingClass::EscapedCheck,
+        (CaseKind::Bad, Verdict::Error) => FindingClass::VmError,
+    };
+    push(
+        out,
+        class,
+        format!("{label}: {} case {}", kind.name(), o.describe()),
+    );
 }
 
 /// The ASan analytic model: a byte is unaddressable when it falls in the
@@ -503,40 +551,10 @@ fn check_defenses(out: &mut Vec<Disagreement>, spec: &CaseSpec, r: &Resolved) {
     }
 }
 
-/// Knobs extending the differential matrix.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OracleOptions {
-    /// Rerun the wrapped and subheap modes with statically-proven check
-    /// elision and require byte-identical verdicts and output — the
-    /// safety gate for `ifp-analyze`'s elision plan.
-    pub elide_differential: bool,
-    /// Rerun the wrapped and subheap modes on the jit execution tier and
-    /// require byte-identical verdicts, output, and complete modeled
-    /// statistics — the safety gate for `ifp-jit`'s fused executor.
-    pub tier_differential: bool,
-    /// Rerun the wrapped and subheap modes (interpreter and jit tiers)
-    /// through a deliberately capacity-poisoned artifact cache — so
-    /// nearly every lookup churns through insert/evict/recompile — and
-    /// require byte-identical verdicts, output, and complete modeled
-    /// statistics. The safety gate for `ifp-plancache`.
-    pub plan_cache_differential: bool,
-    /// Rerun the wrapped and subheap modes with summary-informed check
-    /// elision on *both* execution tiers, fresh and through an artifact
-    /// cache, and require the unelided verdict plus bit-identical
-    /// modeled statistics across tiers and cache paths — the combined
-    /// safety gate for the `ifp-analyze` inter-procedural plan.
-    pub interproc_differential: bool,
-}
-
-/// Runs the full differential matrix for one spec.
+/// Runs the full differential matrix for one spec, then the config
+/// table against the matrix's instrumented runs.
 #[must_use]
 pub fn evaluate(spec: &CaseSpec) -> Evaluation {
-    evaluate_with(spec, OracleOptions::default())
-}
-
-/// [`evaluate`] with extra differential legs enabled.
-#[must_use]
-pub fn evaluate_with(spec: &CaseSpec, opts: OracleOptions) -> Evaluation {
     let r = spec.resolve();
     let program = spec.build_program();
 
@@ -554,43 +572,42 @@ pub fn evaluate_with(spec: &CaseSpec, opts: OracleOptions) -> Evaluation {
             .collect();
         return Evaluation {
             runs: Vec::new(),
+            compared: Vec::new(),
             disagreements,
             modeled_instrs: 0,
         };
     }
 
-    let (baseline, i0) = run_mode_counted(&program, Mode::Baseline);
-    let (wrapped, i1) = run_mode_counted(&program, Mode::instrumented(AllocatorKind::Wrapped));
-    let (subheap, i2) = run_mode_counted(&program, Mode::instrumented(AllocatorKind::Subheap));
-    let (no_promote, i3) = run_mode_counted(
-        &program,
-        Mode::Instrumented {
-            allocator: AllocatorKind::Subheap,
-            no_promote: true,
-        },
-    );
-    let (subheap_again, i4) =
-        run_mode_counted(&program, Mode::instrumented(AllocatorKind::Subheap));
-    let mut modeled_instrs = i0 + i1 + i2 + i3 + i4;
+    let observe_mode = |mode| observe(&program, &config(mode), None);
+    let baseline = observe_mode(Mode::Baseline);
+    let wrapped = observe_mode(Mode::instrumented(AllocatorKind::Wrapped));
+    let subheap = observe_mode(Mode::instrumented(AllocatorKind::Subheap));
+    let no_promote = observe_mode(Mode::Instrumented {
+        allocator: AllocatorKind::Subheap,
+        no_promote: true,
+    });
+    let subheap_again = observe_mode(Mode::instrumented(AllocatorKind::Subheap));
+    let mut modeled_instrs = [&baseline, &wrapped, &subheap, &no_promote, &subheap_again]
+        .iter()
+        .map(|o| o.total_instrs())
+        .sum::<u64>();
 
     let mut out = Vec::new();
 
     // Baseline: good must complete; bad baseline behavior is unspecified.
     if spec.kind == CaseKind::Good {
-        if let RunOutcome::Completed { exit, .. } = &baseline {
-            if *exit != 0 {
-                push(
-                    &mut out,
-                    FindingClass::OutputDivergence,
-                    format!("baseline: good case exited {exit}"),
-                );
-            }
-        } else {
-            push(
+        match (baseline.verdict, baseline.exit_code) {
+            (Verdict::Completed, Some(0)) => {}
+            (Verdict::Completed, _) => push(
+                &mut out,
+                FindingClass::OutputDivergence,
+                format!("baseline: good case {}", baseline.describe()),
+            ),
+            _ => push(
                 &mut out,
                 FindingClass::FalseTrap,
-                format!("baseline: good case {}", baseline.label()),
-            );
+                format!("baseline: good case {}", baseline.describe()),
+            ),
         }
     }
 
@@ -601,46 +618,37 @@ pub fn evaluate_with(spec: &CaseSpec, opts: OracleOptions) -> Evaluation {
     // No-promote ablation: loaded-flow detection is excused, everything
     // else keeps the full contract (field geps narrow in-register).
     if spec.variant == Variant::LoadedFlow {
-        if spec.kind == CaseKind::Good {
-            // Good loaded flows must still complete: promote becoming a
-            // NOP never *adds* a trap.
-            if !matches!(no_promote, RunOutcome::Completed { .. }) {
-                push(
-                    &mut out,
-                    FindingClass::FalseTrap,
-                    format!("no-promote: good case {}", no_promote.label()),
-                );
-            }
+        // Good loaded flows must still complete: promote becoming a NOP
+        // never *adds* a trap. Bad loaded flows under no-promote may
+        // complete (miss), trap or crash: the unchecked wild access is
+        // exactly the ablated protection.
+        if spec.kind == CaseKind::Good && no_promote.verdict != Verdict::Completed {
+            push(
+                &mut out,
+                FindingClass::FalseTrap,
+                format!("no-promote: good case {}", no_promote.describe()),
+            );
         }
-        // Bad loaded flows under no-promote may complete (miss), trap or
-        // crash: the unchecked wild access is exactly the ablated
-        // protection.
     } else {
         check_instrumented(&mut out, "no-promote", spec.kind, &no_promote);
     }
 
     // Output divergence: instrumentation must be semantically invisible
     // on good cases.
-    if spec.kind == CaseKind::Good {
-        if let RunOutcome::Completed { exit, output } = &baseline {
-            for (label, o) in [
-                ("wrapped", &wrapped),
-                ("subheap", &subheap),
-                ("no-promote", &no_promote),
-            ] {
-                if let RunOutcome::Completed {
-                    exit: e2,
-                    output: out2,
-                } = o
-                {
-                    if e2 != exit || out2 != output {
-                        push(
-                            &mut out,
-                            FindingClass::OutputDivergence,
-                            format!("{label}: output differs from baseline"),
-                        );
-                    }
-                }
+    if spec.kind == CaseKind::Good && baseline.verdict == Verdict::Completed {
+        for (label, o) in [
+            ("wrapped", &wrapped),
+            ("subheap", &subheap),
+            ("no-promote", &no_promote),
+        ] {
+            if o.verdict == Verdict::Completed
+                && (o.exit_code != baseline.exit_code || o.output != baseline.output)
+            {
+                push(
+                    &mut out,
+                    FindingClass::OutputDivergence,
+                    format!("{label}: output differs from baseline"),
+                );
             }
         }
     }
@@ -652,207 +660,23 @@ pub fn evaluate_with(spec: &CaseSpec, opts: OracleOptions) -> Evaluation {
             FindingClass::Nondeterminism,
             format!(
                 "subheap rerun: {} then {}",
-                subheap.label(),
-                subheap_again.label()
+                subheap.describe(),
+                subheap_again.describe()
             ),
         );
     }
 
-    // Elision differential: skipping statically proven checks must not
-    // change a single verdict or output byte in either allocator mode.
-    if opts.elide_differential {
-        for (label, mode, reference) in [
-            (
-                "wrapped",
-                Mode::instrumented(AllocatorKind::Wrapped),
-                &wrapped,
-            ),
-            (
-                "subheap",
-                Mode::instrumented(AllocatorKind::Subheap),
-                &subheap,
-            ),
-        ] {
-            let (elided, ie) = run_mode_elided_counted(&program, mode);
-            modeled_instrs += ie;
-            if elided != *reference {
-                push(
-                    &mut out,
-                    FindingClass::ElisionDivergence,
-                    format!(
-                        "{label}: {} without elision, {} with",
-                        reference.label(),
-                        elided.label()
-                    ),
-                );
-            }
+    // Config table: every host-side axis against its reference row.
+    let table = config_table();
+    let observed = observe_table(&program, &table, &wrapped, &subheap);
+    let mut compared = Vec::new();
+    for (row, o) in table.iter().zip(&observed) {
+        if row.reference().is_some() {
+            compared.push(*row);
+            modeled_instrs += o.total_instrs();
         }
     }
-
-    // Tier differential: the fused jit executor must reproduce the
-    // interpreter's verdict, output, and *every* modeled statistic.
-    // Both tiers rerun here so the stats digests come from the same
-    // configs (the verdict is additionally pinned to the reference run).
-    if opts.tier_differential {
-        for (label, mode, reference) in [
-            (
-                "wrapped",
-                Mode::instrumented(AllocatorKind::Wrapped),
-                &wrapped,
-            ),
-            (
-                "subheap",
-                Mode::instrumented(AllocatorKind::Subheap),
-                &subheap,
-            ),
-        ] {
-            let mut icfg = VmConfig::with_mode(mode);
-            icfg.fuel = FUEL;
-            let mut jcfg = icfg;
-            jcfg.exec_tier = ExecTier::Jit;
-            let (iout, idig, ii) = run_config_digest(&program, &icfg);
-            let (jout, jdig, ji) = run_config_digest(&program, &jcfg);
-            modeled_instrs += ii + ji;
-            if jout != iout || jout != *reference {
-                push(
-                    &mut out,
-                    FindingClass::TierDivergence,
-                    format!(
-                        "{label}: {} on the interpreter, {} on the jit tier",
-                        iout.label(),
-                        jout.label()
-                    ),
-                );
-            } else if jdig != idig {
-                push(
-                    &mut out,
-                    FindingClass::TierDivergence,
-                    format!("{label}: modeled statistics differ across tiers"),
-                );
-            }
-        }
-    }
-
-    // Plan-cache differential: running through a capacity-poisoned
-    // artifact cache (evict/recompile churn on nearly every lookup)
-    // must reproduce the fresh-compile verdict, output, and every
-    // modeled statistic — on both execution tiers. Each config runs
-    // through the cache twice so both the cold-insert path and the
-    // reuse-or-evicted path are exercised.
-    if opts.plan_cache_differential {
-        let cache = PlanCache::poisoned();
-        for (label, mode, tier, reference) in [
-            (
-                "wrapped",
-                Mode::instrumented(AllocatorKind::Wrapped),
-                ExecTier::Interp,
-                &wrapped,
-            ),
-            (
-                "subheap",
-                Mode::instrumented(AllocatorKind::Subheap),
-                ExecTier::Interp,
-                &subheap,
-            ),
-            (
-                "subheap-jit",
-                Mode::instrumented(AllocatorKind::Subheap),
-                ExecTier::Jit,
-                &subheap,
-            ),
-        ] {
-            let mut cfg = VmConfig::with_mode(mode);
-            cfg.fuel = FUEL;
-            cfg.exec_tier = tier;
-            let (fout, fdig, fi) = run_config_digest(&program, &cfg);
-            modeled_instrs += fi;
-            for pass in ["cold", "reuse"] {
-                let (cout, cdig, ci) = run_config_digest_cached(&program, &cfg, &cache);
-                modeled_instrs += ci;
-                if cout != fout || &cout != reference {
-                    push(
-                        &mut out,
-                        FindingClass::CacheDivergence,
-                        format!(
-                            "{label}: {} fresh, {} through the poisoned cache ({pass} pass)",
-                            fout.label(),
-                            cout.label()
-                        ),
-                    );
-                } else if cdig != fdig {
-                    push(
-                        &mut out,
-                        FindingClass::CacheDivergence,
-                        format!(
-                            "{label}: modeled statistics differ through the poisoned cache \
-                             ({pass} pass)"
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    // Inter-procedural differential: the richest elided configuration —
-    // the summary-informed plan driving check elision, on both execution
-    // tiers, compiled fresh and through an artifact cache — must keep
-    // the unelided verdict and stay bit-identical across every axis.
-    if opts.interproc_differential {
-        let cache = PlanCache::new();
-        for (label, mode, reference) in [
-            (
-                "wrapped",
-                Mode::instrumented(AllocatorKind::Wrapped),
-                &wrapped,
-            ),
-            (
-                "subheap",
-                Mode::instrumented(AllocatorKind::Subheap),
-                &subheap,
-            ),
-        ] {
-            let mut icfg = VmConfig::with_mode(mode);
-            icfg.fuel = FUEL;
-            icfg.elide_checks = true;
-            let mut jcfg = icfg;
-            jcfg.exec_tier = ExecTier::Jit;
-            let (iout, idig, ii) = run_config_digest(&program, &icfg);
-            let (jout, jdig, ji) = run_config_digest(&program, &jcfg);
-            modeled_instrs += ii + ji;
-            if iout != *reference {
-                push(
-                    &mut out,
-                    FindingClass::InterprocDivergence,
-                    format!(
-                        "{label}: {} without elision, {} with the interprocedural plan",
-                        reference.label(),
-                        iout.label()
-                    ),
-                );
-            }
-            if jout != iout || jdig != idig {
-                push(
-                    &mut out,
-                    FindingClass::InterprocDivergence,
-                    format!("{label}: elided tiers disagree (interp vs jit)"),
-                );
-            }
-            for (tier_label, cfg, fout, fdig) in [
-                ("interp", &icfg, &iout, &idig),
-                ("jit", &jcfg, &jout, &jdig),
-            ] {
-                let (cout, cdig, ci) = run_config_digest_cached(&program, cfg, &cache);
-                modeled_instrs += ci;
-                if &cout != fout || &cdig != fdig {
-                    push(
-                        &mut out,
-                        FindingClass::InterprocDivergence,
-                        format!("{label}/{tier_label}: cached elided run diverged from fresh"),
-                    );
-                }
-            }
-        }
-    }
+    out.extend(compare_rows(&table, &observed));
 
     // Defense models.
     check_defenses(&mut out, spec, &r);
@@ -864,6 +688,7 @@ pub fn evaluate_with(spec: &CaseSpec, opts: OracleOptions) -> Evaluation {
             ("subheap".into(), subheap),
             ("no-promote".into(), no_promote),
         ],
+        compared,
         disagreements: out,
         modeled_instrs,
     }
@@ -922,84 +747,122 @@ mod tests {
 
     #[test]
     fn random_specs_are_clean() {
-        for i in 0..40 {
-            let s = CaseSpec::generate(&mut Rng::stream(0xfacade, i));
-            let e = evaluate(&s);
-            assert!(e.disagreements.is_empty(), "{s:?}\n{:?}", e.disagreements);
+        // The first stream is this test's own; 0xe11de, 0x71e4, 0xcac4e
+        // and 0x1f7e2 are pinned inputs from the elision, tier,
+        // plan-cache and interproc differential tests.
+        for (seed, n) in [
+            (0xfacade, 40),
+            (0xe11de, 25),
+            (0x71e4, 25),
+            (0xcac4e, 25),
+            (0x1f7e2, 25),
+        ] {
+            for i in 0..n {
+                let s = CaseSpec::generate(&mut Rng::stream(seed, i));
+                let e = evaluate(&s);
+                assert!(e.disagreements.is_empty(), "{s:?}\n{:?}", e.disagreements);
+            }
         }
     }
 
     #[test]
-    fn elide_differential_is_clean_on_random_specs() {
-        let opts = OracleOptions {
-            elide_differential: true,
-            ..OracleOptions::default()
-        };
-        for i in 0..25 {
-            let s = CaseSpec::generate(&mut Rng::stream(0xe11de, i));
-            let e = evaluate_with(&s, opts);
-            assert!(e.disagreements.is_empty(), "{s:?}\n{:?}", e.disagreements);
-        }
+    fn evaluate_compares_every_config_row() {
+        // `replay`, `shrink` and the campaign all judge through this one
+        // entry point, so every table row must run on every evaluation.
+        let s = spec(CaseKind::Bad, Variant::Direct, Site::Heap, true, Dir::Over);
+        let e = evaluate(&s);
+        let want: Vec<ConfigRow> = config_table()
+            .into_iter()
+            .filter(|r| r.reference().is_some())
+            .collect();
+        assert_eq!(want.len(), 38);
+        assert_eq!(e.compared, want);
+        // Elided, jit and cached rows all run, so the throughput
+        // denominator counts far more than the five matrix runs.
+        let matrix: u64 = e.runs.iter().map(|(_, o)| o.total_instrs()).sum();
+        assert!(
+            e.modeled_instrs > 5 * matrix,
+            "{} vs {matrix}",
+            e.modeled_instrs
+        );
+    }
+
+    /// Rows whose observation another row is compared against whole.
+    fn whole_references(table: &[ConfigRow]) -> Vec<ConfigRow> {
+        table
+            .iter()
+            .filter_map(|r| r.reference())
+            .filter(|(_, eq)| *eq == Equality::Whole)
+            .map(|(reference, _)| reference)
+            .collect()
     }
 
     #[test]
-    fn tier_differential_is_clean_on_random_specs() {
-        let opts = OracleOptions {
-            tier_differential: true,
-            ..OracleOptions::default()
-        };
-        for i in 0..25 {
-            let s = CaseSpec::generate(&mut Rng::stream(0x71e4, i));
-            let e = evaluate_with(&s, opts);
-            assert!(e.disagreements.is_empty(), "{s:?}\n{:?}", e.disagreements);
-        }
-    }
+    fn comparator_names_exactly_the_perturbed_row() {
+        // A real, clean result set (a detected bad case, so every row
+        // carries stats), then one perturbation at a time. A row that is
+        // also the whole-equality reference of other rows (an elided
+        // interp/fresh row) drags those dependents along: they no longer
+        // match it either.
+        let table = config_table();
+        let program =
+            spec(CaseKind::Bad, Variant::Direct, Site::Heap, true, Dir::Over).build_program();
+        let matrix_run = |a| observe(&program, &config(Mode::instrumented(a)), None);
+        let clean = observe_table(
+            &program,
+            &table,
+            &matrix_run(AllocatorKind::Wrapped),
+            &matrix_run(AllocatorKind::Subheap),
+        );
+        assert_eq!(compare_rows(&table, &clean), Vec::new());
+        assert!(clean.iter().all(|o| o.verdict == Verdict::SafetyTrap));
+        let references = whole_references(&table);
 
-    #[test]
-    fn plan_cache_differential_is_clean_on_random_specs() {
-        let opts = OracleOptions {
-            plan_cache_differential: true,
-            ..OracleOptions::default()
-        };
-        for i in 0..25 {
-            let s = CaseSpec::generate(&mut Rng::stream(0xcac4e, i));
-            let e = evaluate_with(&s, opts);
-            assert!(e.disagreements.is_empty(), "{s:?}\n{:?}", e.disagreements);
-        }
-    }
+        for (i, row) in table.iter().enumerate() {
+            let Some((_, equality)) = row.reference() else {
+                continue;
+            };
+            let subject = format!("{row}: ");
+            let dependents = references.iter().filter(|r| *r == row).count();
 
-    #[test]
-    fn interproc_differential_is_clean_on_random_specs() {
-        let opts = OracleOptions {
-            interproc_differential: true,
-            ..OracleOptions::default()
-        };
-        for i in 0..25 {
-            let s = CaseSpec::generate(&mut Rng::stream(0x1f7e2, i));
-            let e = evaluate_with(&s, opts);
-            assert!(e.disagreements.is_empty(), "{s:?}\n{:?}", e.disagreements);
+            // A verdict change breaks every equality.
+            let mut observed = clean.clone();
+            observed[i].verdict = Verdict::Completed;
+            let found = compare_rows(&table, &observed);
+            let own: Vec<_> = found
+                .iter()
+                .filter(|d| d.detail.starts_with(&subject))
+                .collect();
+            assert_eq!(own.len(), 1, "{row}: {found:?}");
+            assert_eq!(own[0].class, FindingClass::ConfigDivergence);
+            assert_eq!(found.len(), 1 + dependents, "{row}: {found:?}");
+
+            // One modeled counter: a divergence on rows held to the whole
+            // observation, none on the elision row, whose contract
+            // leaves `RunStats` free.
+            let mut observed = clean.clone();
+            observed[i].stats.as_mut().expect("trap stats").base_instrs += 1;
+            let found = compare_rows(&table, &observed);
+            let own = found
+                .iter()
+                .filter(|d| d.detail.starts_with(&subject))
+                .count();
+            match equality {
+                Equality::Whole => assert_eq!(own, 1, "{row}: {found:?}"),
+                Equality::Behaviour => assert_eq!(own, 0, "{row}: {found:?}"),
+            }
+            assert_eq!(found.len(), own + dependents, "{row}: {found:?}");
         }
     }
 
     #[test]
     fn finding_class_names_round_trip() {
-        for c in [
-            FindingClass::FalseTrap,
-            FindingClass::MissedBug,
-            FindingClass::EscapedCheck,
-            FindingClass::VmError,
-            FindingClass::OutputDivergence,
-            FindingClass::Nondeterminism,
-            FindingClass::DefenseDisagree,
-            FindingClass::MalformedIr,
-            FindingClass::ElisionDivergence,
-            FindingClass::TierDivergence,
-            FindingClass::CacheDivergence,
-            FindingClass::InterprocDivergence,
-            FindingClass::HarnessPanic,
-        ] {
+        let names: Vec<&str> = FindingClass::ALL.iter().map(|c| c.name()).collect();
+        assert!(names.contains(&"config_divergence"), "{names:?}");
+        for c in FindingClass::ALL {
             assert_eq!(FindingClass::from_name(c.name()), Some(c));
         }
+        assert_eq!(FindingClass::from_name("tier_divergence"), None);
     }
 
     #[test]

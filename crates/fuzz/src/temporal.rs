@@ -33,7 +33,7 @@ use ifp_hw::Trap;
 use ifp_temporal::TemporalPolicy;
 use ifp_testutil::Rng;
 use ifp_trace::TemporalKind;
-use ifp_vm::{run, AllocatorKind, Mode, VmConfig, VmError};
+use ifp_vm::{run, AllocatorKind, Mode, Observation, Verdict, VmConfig};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -355,48 +355,19 @@ pub fn expectation(spec: &TemporalSpec, policy: TemporalPolicy) -> Option<Expect
     }
 }
 
-/// Outcome classification of one temporal run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Outcome {
-    Completed { output: Vec<i64>, violations: u64 },
-    Temporal { kind: TemporalKind },
-    OtherTrap { trap: String },
-    Errored { error: String },
-}
-
-/// Runs one policy, also reporting the modeled instructions executed
-/// (up to the trap for trapping runs).
-fn run_policy(program: &Program, path: TemporalPath, policy: TemporalPolicy) -> (Outcome, u64) {
+/// Runs one policy and observes the result.
+fn run_policy(program: &Program, path: TemporalPath, policy: TemporalPolicy) -> Observation {
     let mut cfg = VmConfig::with_mode(path.mode());
     cfg.fuel = FUEL;
     cfg.temporal = policy;
-    match run(program, &cfg) {
-        Ok(r) => (
-            Outcome::Completed {
-                output: r.output,
-                violations: r.stats.temporal.violations,
-            },
-            r.stats.total_instrs(),
-        ),
-        Err(VmError::Trap {
-            trap: Trap::Temporal { kind, .. },
-            stats,
-            ..
-        }) => (Outcome::Temporal { kind }, stats.total_instrs()),
-        Err(VmError::Trap {
-            trap, func, stats, ..
-        }) => (
-            Outcome::OtherTrap {
-                trap: format!("{trap} in `{func}`"),
-            },
-            stats.total_instrs(),
-        ),
-        Err(e) => (
-            Outcome::Errored {
-                error: e.to_string(),
-            },
-            0,
-        ),
+    Observation::of(&run(program, &cfg))
+}
+
+/// The temporal-violation class of a run stopped by a temporal trap.
+fn temporal_kind(o: &Observation) -> Option<TemporalKind> {
+    match o.trap {
+        Some((Trap::Temporal { kind, .. }, _)) => Some(kind),
+        _ => None,
     }
 }
 
@@ -428,16 +399,16 @@ pub fn evaluate_temporal(spec: &TemporalSpec) -> TemporalEvaluation {
     let mut out = Vec::new();
     let mut runs = Vec::new();
     let mut modeled_instrs = 0u64;
-    let mut first: Option<(TemporalPolicy, Outcome)> = None;
+    let mut first: Option<(TemporalPolicy, Observation)> = None;
 
     for policy in TemporalPolicy::ALL {
         let Some(want) = expectation(spec, policy) else {
             continue;
         };
-        let (got, n) = run_policy(&program, spec.path, policy);
-        modeled_instrs += n;
+        let got = run_policy(&program, spec.path, policy);
+        modeled_instrs += got.total_instrs();
         let label = format!("{}/{}", spec.path.name(), policy.name());
-        runs.push((label.clone(), outcome_label(&got)));
+        runs.push((label.clone(), got.describe()));
         judge_run(&mut out, spec, &label, &want, &got);
         if first.is_none() {
             first = Some((policy, got));
@@ -446,8 +417,8 @@ pub fn evaluate_temporal(spec: &TemporalSpec) -> TemporalEvaluation {
 
     // Determinism: the first evaluated policy, rerun, byte-identical.
     if let Some((policy, once)) = first {
-        let (again, n) = run_policy(&program, spec.path, policy);
-        modeled_instrs += n;
+        let again = run_policy(&program, spec.path, policy);
+        modeled_instrs += again.total_instrs();
         if again != once {
             push(
                 &mut out,
@@ -466,32 +437,24 @@ pub fn evaluate_temporal(spec: &TemporalSpec) -> TemporalEvaluation {
     }
 }
 
-fn outcome_label(o: &Outcome) -> String {
-    match o {
-        Outcome::Completed { .. } => "completed".into(),
-        Outcome::Temporal { kind } => format!("temporal:{kind}"),
-        Outcome::OtherTrap { trap } => format!("trapped:{trap}"),
-        Outcome::Errored { error } => format!("error:{error}"),
-    }
-}
-
 fn judge_run(
     out: &mut Vec<Disagreement>,
     spec: &TemporalSpec,
     label: &str,
     want: &Expectation,
-    got: &Outcome,
+    got: &Observation,
 ) {
-    match (want, got) {
-        (Expectation::Complete(want_out), Outcome::Completed { output, violations }) => {
-            if output != want_out {
+    match (want, got.verdict) {
+        (Expectation::Complete(want_out), Verdict::Completed) => {
+            if &got.output != want_out {
                 push(
                     out,
                     FindingClass::OutputDivergence,
-                    format!("{label}: output {output:?}, model says {want_out:?}"),
+                    format!("{label}: output {:?}, model says {want_out:?}", got.output),
                 );
             }
-            if *violations != 0 {
+            let violations = got.stats.as_ref().map_or(0, |s| s.temporal.violations);
+            if violations != 0 {
                 push(
                     out,
                     FindingClass::DefenseDisagree,
@@ -499,7 +462,7 @@ fn judge_run(
                 );
             }
         }
-        (Expectation::Complete(_), o) => {
+        (Expectation::Complete(_), _) => {
             let class = if spec.bug == TemporalBug::Benign {
                 FindingClass::FalseTrap
             } else {
@@ -511,31 +474,37 @@ fn judge_run(
             push(
                 out,
                 class,
-                format!("{label}: model says complete, got {}", outcome_label(o)),
+                format!("{label}: model says complete, got {}", got.describe()),
             );
         }
-        (Expectation::Temporal(want_kind), Outcome::Temporal { kind }) => {
-            if kind != want_kind {
-                push(
-                    out,
-                    FindingClass::DefenseDisagree,
-                    format!("{label}: temporal {kind}, model says {want_kind}"),
-                );
-            }
-        }
-        (Expectation::Temporal(_), Outcome::Completed { .. }) => push(
+        (Expectation::Temporal(_), Verdict::Completed) => push(
             out,
             FindingClass::MissedBug,
             format!("{label}: planted {} completed undetected", spec.bug.name()),
         ),
-        (Expectation::Temporal(_), Outcome::OtherTrap { trap }) => push(
-            out,
-            FindingClass::EscapedCheck,
-            format!("{label}: crashed past the temporal check ({trap})"),
-        ),
-        (Expectation::Temporal(_), Outcome::Errored { error }) => {
-            push(out, FindingClass::VmError, format!("{label}: {error}"));
+        (Expectation::Temporal(_), Verdict::Error) => {
+            push(
+                out,
+                FindingClass::VmError,
+                format!("{label}: {}", got.describe()),
+            );
         }
+        (Expectation::Temporal(want_kind), _) => match temporal_kind(got) {
+            Some(kind) if kind == *want_kind => {}
+            Some(kind) => push(
+                out,
+                FindingClass::DefenseDisagree,
+                format!("{label}: temporal {kind}, model says {want_kind}"),
+            ),
+            None => push(
+                out,
+                FindingClass::EscapedCheck,
+                format!(
+                    "{label}: crashed past the temporal check: {}",
+                    got.describe()
+                ),
+            ),
+        },
     }
 }
 

@@ -36,7 +36,7 @@ use ifp_compiler::InstrPlan;
 ///
 /// Both tiers produce bit-identical [`RunStats`]; the jit tier is only
 /// allowed to be *faster on the host*, never different. The golden
-/// suite and the fuzz `tier_divergence` leg enforce that contract.
+/// suite and the fuzz oracle's config table enforce that contract.
 ///
 /// [`RunStats`]: https://docs.rs/ifp-vm
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]

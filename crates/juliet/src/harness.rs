@@ -4,87 +4,36 @@
 
 use crate::gen::{CaseKind, JulietCase};
 use ifp_plancache::PlanCache;
-use ifp_trace::{ForensicReport, TraceConfig};
-use ifp_vm::{run, ExecTier, Mode, VmConfig, VmError};
+use ifp_trace::TraceConfig;
+use ifp_vm::{run, ExecTier, Mode, Observation, RunResult, Verdict, VmConfig, VmError};
 use std::fmt;
 
-/// What happened when a case ran.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CaseOutcome {
-    /// Ran to completion.
-    Completed,
-    /// Stopped by a spatial-safety trap (poison or bounds) — the clean
-    /// detection the paper's functional evaluation counts.
-    Detected,
-    /// Stopped by a trap that is *not* a safety detection — typically a
-    /// page fault after a wild access escaped the checks. The program
-    /// crashed, but the defense cannot claim it.
-    TrappedOther,
-    /// Stopped by something else (harness bug).
-    Errored,
-}
-
-/// Runs one case under `mode`.
-#[must_use]
-pub fn run_case(case: &JulietCase, mode: Mode) -> CaseOutcome {
-    run_case_traced(case, mode, TraceConfig::off()).0
-}
-
-/// [`run_case`] on a chosen execution tier through an optional shared
-/// [`PlanCache`]. A suite replays each case program under several modes
-/// (and benchmark reps), so the cache collapses the repeated
-/// validate/analyze/decode/fuse work to at most two artifacts per case
-/// per tier; outcomes are bit-identical with or without it
-/// (golden-gated).
-#[must_use]
-pub fn run_case_cached(
-    case: &JulietCase,
-    mode: Mode,
-    tier: ExecTier,
-    cache: Option<&PlanCache>,
-) -> CaseOutcome {
-    run_case_inner(case, mode, TraceConfig::off(), tier, cache).0
-}
-
-/// [`run_case`] with event tracing: when `trace` enables any category and
-/// the case traps, the trap's forensic reconstruction rides along.
-#[must_use]
-pub fn run_case_traced(
-    case: &JulietCase,
-    mode: Mode,
-    trace: TraceConfig,
-) -> (CaseOutcome, Option<Box<ForensicReport>>) {
-    run_case_inner(case, mode, trace, ExecTier::default(), None)
-}
-
-fn run_case_inner(
+/// Runs one case under `mode` on `tier`, with `trace` enabled, through
+/// `cache` when given. A suite replays each case program under several
+/// modes (and benchmark reps), so a shared [`PlanCache`] collapses the
+/// repeated validate/analyze/decode/fuse work to at most two artifacts
+/// per case per tier; results are bit-identical with or without it
+/// (golden-gated). When `trace` enables any category and the case
+/// traps, the trap's forensic reconstruction rides along in the error.
+///
+/// # Errors
+///
+/// The [`VmError`] that stopped the run — for a bad case under an
+/// instrumented mode, the detection itself.
+pub fn run_case(
     case: &JulietCase,
     mode: Mode,
     trace: TraceConfig,
     tier: ExecTier,
     cache: Option<&PlanCache>,
-) -> (CaseOutcome, Option<Box<ForensicReport>>) {
+) -> Result<RunResult, VmError> {
     let mut cfg = VmConfig::with_mode(mode);
     cfg.fuel = 50_000_000;
     cfg.trace = trace;
     cfg.exec_tier = tier;
-    let result = match cache {
+    match cache {
         Some(c) => c.run(&case.program, &cfg),
         None => run(&case.program, &cfg),
-    };
-    match result {
-        Ok(_) => (CaseOutcome::Completed, None),
-        Err(VmError::Trap {
-            trap, forensics, ..
-        }) => {
-            let outcome = if trap.is_safety_violation() {
-                CaseOutcome::Detected
-            } else {
-                CaseOutcome::TrappedOther
-            };
-            (outcome, forensics)
-        }
-        Err(_) => (CaseOutcome::Errored, None),
     }
 }
 
@@ -108,6 +57,27 @@ pub struct SuiteResult {
 }
 
 impl SuiteResult {
+    /// Tallies one verdict per case: a safety trap on a bad case is a
+    /// detection, completion of a good case a pass. Both the spatial and
+    /// the temporal suite fill their results through this one match.
+    #[must_use]
+    pub(crate) fn tally<'a>(
+        verdicts: impl IntoIterator<Item = (CaseKind, &'a str, Verdict)>,
+    ) -> Self {
+        let mut out = SuiteResult::default();
+        for (kind, id, verdict) in verdicts {
+            match (kind, verdict) {
+                (CaseKind::Bad, Verdict::SafetyTrap) => out.detected += 1,
+                (CaseKind::Good, Verdict::Completed) => out.passed += 1,
+                (CaseKind::Bad, Verdict::Completed) => out.missed.push(id.to_string()),
+                (CaseKind::Good, Verdict::SafetyTrap) => out.false_positives.push(id.to_string()),
+                (_, Verdict::OtherTrap) => out.trapped_other.push(id.to_string()),
+                (_, Verdict::Error) => out.errors.push(id.to_string()),
+            }
+        }
+        out
+    }
+
     /// Total cases examined.
     #[must_use]
     pub fn total(&self) -> usize {
@@ -147,50 +117,28 @@ impl fmt::Display for SuiteResult {
     }
 }
 
-/// Runs a whole suite under `mode` on up to `workers` threads.
-///
-/// Each case is an independent simulation; outcomes merge in case order,
-/// so the result is identical for any worker count.
+/// Runs a whole suite under `mode` on `tier` on up to `workers`
+/// threads, through `cache` when given. Each case is an independent
+/// simulation and outcomes merge in case order, so the result is
+/// identical for any worker count and any cache state — only host
+/// wall-clock changes.
 #[must_use]
-pub fn run_suite_with_workers(cases: &[JulietCase], mode: Mode, workers: usize) -> SuiteResult {
-    run_suite_with_workers_cached(cases, mode, workers, ExecTier::default(), None)
-}
-
-/// [`run_suite_with_workers`] on a chosen execution tier through an
-/// optional shared [`PlanCache`]. The cache is shared across workers
-/// (it is `Sync`); results stay identical for any worker count and any
-/// cache state — only host wall-clock changes.
-#[must_use]
-pub fn run_suite_with_workers_cached(
+pub fn run_suite(
     cases: &[JulietCase],
     mode: Mode,
     workers: usize,
     tier: ExecTier,
     cache: Option<&PlanCache>,
 ) -> SuiteResult {
-    let outcomes = ifp_testutil::par_map(cases, workers, |case| {
-        run_case_cached(case, mode, tier, cache)
+    let verdicts = ifp_testutil::par_map(cases, workers, |case| {
+        Observation::of(&run_case(case, mode, TraceConfig::off(), tier, cache)).verdict
     });
-    let mut out = SuiteResult::default();
-    for (case, outcome) in cases.iter().zip(outcomes) {
-        match (case.kind, outcome) {
-            (CaseKind::Bad, CaseOutcome::Detected) => out.detected += 1,
-            (CaseKind::Bad, CaseOutcome::Completed) => out.missed.push(case.id.clone()),
-            (CaseKind::Good, CaseOutcome::Completed) => out.passed += 1,
-            (CaseKind::Good, CaseOutcome::Detected) => {
-                out.false_positives.push(case.id.clone());
-            }
-            (_, CaseOutcome::TrappedOther) => out.trapped_other.push(case.id.clone()),
-            (_, CaseOutcome::Errored) => out.errors.push(case.id.clone()),
-        }
-    }
-    out
-}
-
-/// [`run_suite_with_workers`] on a single thread.
-#[must_use]
-pub fn run_suite(cases: &[JulietCase], mode: Mode) -> SuiteResult {
-    run_suite_with_workers(cases, mode, 1)
+    SuiteResult::tally(
+        cases
+            .iter()
+            .zip(verdicts)
+            .map(|(case, v)| (case.kind, case.id.as_str(), v)),
+    )
 }
 
 #[cfg(test)]
@@ -203,7 +151,7 @@ mod tests {
     fn instrumented_detects_all_bad_and_passes_all_good() {
         let cases = all_cases();
         for alloc in [AllocatorKind::Wrapped, AllocatorKind::Subheap] {
-            let r = run_suite(&cases, Mode::instrumented(alloc));
+            let r = run_suite(&cases, Mode::instrumented(alloc), 1, ExecTier::Interp, None);
             assert!(
                 r.is_clean(),
                 "{alloc}: {r}\nmissed: {:?}\nfalse positives: {:?}\nerrors: {:?}",
@@ -222,9 +170,9 @@ mod tests {
         // including the order of the id lists.
         let cases = all_cases();
         for mode in [Mode::Baseline, Mode::instrumented(AllocatorKind::Subheap)] {
-            let one = run_suite_with_workers(&cases, mode, 1);
+            let one = run_suite(&cases, mode, 1, ExecTier::Interp, None);
             for workers in [2, 5] {
-                let many = run_suite_with_workers(&cases, mode, workers);
+                let many = run_suite(&cases, mode, workers, ExecTier::Interp, None);
                 assert_eq!(one, many, "{mode} diverged at {workers} workers");
             }
         }
@@ -236,12 +184,11 @@ mod tests {
         // across tiers and worker counts (SuiteResult derives Eq).
         let cases: Vec<_> = all_cases().into_iter().take(24).collect();
         let mode = Mode::instrumented(AllocatorKind::Subheap);
-        let fresh = run_suite(&cases, mode);
+        let fresh = run_suite(&cases, mode, 1, ExecTier::Interp, None);
         let cache = PlanCache::new();
         for tier in [ExecTier::Interp, ExecTier::Jit] {
             for workers in [1, 4] {
-                let cached =
-                    run_suite_with_workers_cached(&cases, mode, workers, tier, Some(&cache));
+                let cached = run_suite(&cases, mode, workers, tier, Some(&cache));
                 assert_eq!(fresh, cached, "{tier:?} diverged at {workers} workers");
             }
         }
@@ -252,7 +199,7 @@ mod tests {
     #[test]
     fn baseline_passes_good_cases() {
         let cases = all_cases();
-        let r = run_suite(&cases, Mode::Baseline);
+        let r = run_suite(&cases, Mode::Baseline, 1, ExecTier::Interp, None);
         assert!(r.false_positives.is_empty(), "{:?}", r.false_positives);
         assert_eq!(r.passed, cases.len() / 2);
         // The baseline misses most overflows (they land in padding or
@@ -269,6 +216,9 @@ mod tests {
                 allocator: AllocatorKind::Subheap,
                 no_promote: true,
             },
+            1,
+            ExecTier::Interp,
+            None,
         );
         assert!(
             !r.missed.is_empty(),

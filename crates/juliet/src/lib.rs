@@ -20,11 +20,7 @@ pub mod harness;
 pub mod temporal;
 
 pub use gen::{all_cases, CaseKind, Cwe, JulietCase, Site, Variant, ALL_CWES};
-pub use harness::{
-    run_case, run_case_cached, run_case_traced, run_suite, run_suite_with_workers,
-    run_suite_with_workers_cached, CaseOutcome, SuiteResult,
-};
+pub use harness::{run_case, run_suite, SuiteResult};
 pub use temporal::{
-    run_temporal_case, run_temporal_suite, run_temporal_suite_with_workers, temporal_cases,
-    TemporalCase, TemporalCwe, TemporalOutcome,
+    run_temporal_case, run_temporal_suite, temporal_cases, TemporalCase, TemporalCwe,
 };

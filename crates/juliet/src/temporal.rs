@@ -18,7 +18,7 @@ use ifp_compiler::{Operand, Program, ProgramBuilder};
 use ifp_hw::Trap;
 use ifp_temporal::TemporalPolicy;
 use ifp_trace::TemporalKind;
-use ifp_vm::{run, Mode, VmConfig, VmError};
+use ifp_vm::{run, Mode, Verdict, VmConfig, VmError};
 
 /// The temporal-error class of a case (maps onto Juliet CWE numbers).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -213,78 +213,45 @@ pub fn temporal_cases() -> Vec<TemporalCase> {
     out
 }
 
-/// What happened when a temporal case ran.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TemporalOutcome {
-    /// Ran to completion.
-    Completed,
-    /// Stopped by a temporal trap of the case's own class — the clean
-    /// detection the suite counts.
-    Detected,
-    /// Stopped by any other trap (spatial, page fault, or a temporal
-    /// trap of the wrong class): a crash the defense cannot claim.
-    TrappedOther,
-    /// Stopped outside the trap model (allocator error, harness bug).
-    Errored,
-}
-
-/// Runs one case under `mode` with temporal `policy`.
+/// Runs one case under `mode` with temporal `policy`. Only a temporal
+/// trap of the case's own class counts as [`Verdict::SafetyTrap`]; any
+/// other trap (spatial, page fault, or the wrong temporal class) is a
+/// crash the defense cannot claim, [`Verdict::OtherTrap`].
 #[must_use]
-pub fn run_temporal_case(
-    case: &TemporalCase,
-    mode: Mode,
-    policy: TemporalPolicy,
-) -> TemporalOutcome {
+pub fn run_temporal_case(case: &TemporalCase, mode: Mode, policy: TemporalPolicy) -> Verdict {
     let mut cfg = VmConfig::with_mode(mode);
     cfg.fuel = 50_000_000;
     cfg.temporal = policy;
     match run(&case.program, &cfg) {
-        Ok(_) => TemporalOutcome::Completed,
+        Ok(_) => Verdict::Completed,
         Err(VmError::Trap {
             trap: Trap::Temporal { kind, .. },
             ..
-        }) if kind == case.cwe.kind() => TemporalOutcome::Detected,
-        Err(VmError::Trap { .. }) => TemporalOutcome::TrappedOther,
-        Err(_) => TemporalOutcome::Errored,
+        }) if kind == case.cwe.kind() => Verdict::SafetyTrap,
+        Err(VmError::Trap { .. }) => Verdict::OtherTrap,
+        Err(_) => Verdict::Error,
     }
 }
 
-/// Runs the whole temporal suite under `mode` with `policy`, tallying
-/// with the same [`SuiteResult`] vocabulary as the spatial harness.
+/// Runs the whole temporal suite under `mode` with `policy` on up to
+/// `workers` threads, tallying with the same [`SuiteResult`] as the
+/// spatial harness. Outcomes merge in case order, so the result is
+/// identical for any worker count.
 #[must_use]
 pub fn run_temporal_suite(
     cases: &[TemporalCase],
     mode: Mode,
     policy: TemporalPolicy,
-) -> SuiteResult {
-    run_temporal_suite_with_workers(cases, mode, policy, 1)
-}
-
-/// [`run_temporal_suite`] on up to `workers` threads; outcomes merge in
-/// case order, so the result is identical for any worker count.
-#[must_use]
-pub fn run_temporal_suite_with_workers(
-    cases: &[TemporalCase],
-    mode: Mode,
-    policy: TemporalPolicy,
     workers: usize,
 ) -> SuiteResult {
-    let outcomes =
+    let verdicts =
         ifp_testutil::par_map(cases, workers, |case| run_temporal_case(case, mode, policy));
-    let mut out = SuiteResult::default();
-    for (case, outcome) in cases.iter().zip(outcomes) {
-        match (case.kind, outcome) {
-            (CaseKind::Bad, TemporalOutcome::Detected) => out.detected += 1,
-            (CaseKind::Bad, TemporalOutcome::Completed) => out.missed.push(case.id.clone()),
-            (CaseKind::Good, TemporalOutcome::Completed) => out.passed += 1,
-            (CaseKind::Good, TemporalOutcome::Detected) => {
-                out.false_positives.push(case.id.clone());
-            }
-            (_, TemporalOutcome::TrappedOther) => out.trapped_other.push(case.id.clone()),
-            (_, TemporalOutcome::Errored) => out.errors.push(case.id.clone()),
-        }
-    }
-    out
+    SuiteResult::tally(
+        cases
+            .iter()
+            .zip(verdicts)
+            .map(|(case, v)| (case.kind, case.id.as_str(), v)),
+    )
 }
 
 #[cfg(test)]
@@ -317,7 +284,7 @@ mod tests {
         let cases = temporal_cases();
         for alloc in [AllocatorKind::Wrapped, AllocatorKind::Subheap] {
             for policy in TemporalPolicy::ENFORCING {
-                let r = run_temporal_suite(&cases, Mode::instrumented(alloc), policy);
+                let r = run_temporal_suite(&cases, Mode::instrumented(alloc), policy, 1);
                 assert!(
                     r.is_clean(),
                     "{alloc}/{policy}: {r}\nmissed: {:?}\nfalse positives: {:?}\n\
@@ -336,7 +303,7 @@ mod tests {
     fn off_policy_detects_nothing_and_passes_good() {
         let cases = temporal_cases();
         for alloc in [AllocatorKind::Wrapped, AllocatorKind::Subheap] {
-            let r = run_temporal_suite(&cases, Mode::instrumented(alloc), TemporalPolicy::Off);
+            let r = run_temporal_suite(&cases, Mode::instrumented(alloc), TemporalPolicy::Off, 1);
             assert_eq!(r.detected, 0, "{alloc}: off policy claimed a detection");
             assert!(r.false_positives.is_empty(), "{:?}", r.false_positives);
             assert_eq!(r.passed, cases.len() / 2, "{alloc}: good cases must pass");

@@ -3,9 +3,9 @@
 //! violated: the narrowed subobject, the owning allocation and the
 //! out-of-bounds distance (the paper's Listing 1 scenario, §2.1).
 
-use ifp_juliet::{all_cases, run_case_traced, CaseOutcome, JulietCase};
-use ifp_trace::{Region, Scheme, TraceConfig, TrapKind};
-use ifp_vm::{AllocatorKind, Mode};
+use ifp_juliet::{all_cases, run_case, JulietCase};
+use ifp_trace::{ForensicReport, Region, Scheme, TraceConfig, TrapKind};
+use ifp_vm::{AllocatorKind, ExecTier, Mode, Observation, Verdict, VmError};
 
 fn case_by_id(id: &str) -> JulietCase {
     all_cases()
@@ -14,18 +14,33 @@ fn case_by_id(id: &str) -> JulietCase {
         .unwrap_or_else(|| panic!("no case {id}"))
 }
 
+/// Runs `case` with `trace`, returning its verdict and the forensic
+/// report the trap carries (if any).
+fn verdict_and_report(
+    case: &JulietCase,
+    mode: Mode,
+    trace: TraceConfig,
+) -> (Verdict, Option<Box<ForensicReport>>) {
+    let result = run_case(case, mode, trace, ExecTier::Interp, None);
+    let verdict = Observation::of(&result).verdict;
+    match result {
+        Err(VmError::Trap { forensics, .. }) => (verdict, forensics),
+        _ => (verdict, None),
+    }
+}
+
 /// The generator's intra-object cases use `struct S { vulnerable: [i32;
 /// 10], sensitive: [i32; 10] }` and write at `vulnerable[10]` — 4 bytes
 /// past the narrowed member, still inside the 80-byte object.
 #[test]
 fn intra_object_bad_case_yields_subobject_forensics() {
     let case = case_by_id("CWE122_IntraObjectWrite_Heap_LoadedFlow_bad");
-    let (outcome, forensics) = run_case_traced(
+    let (outcome, forensics) = verdict_and_report(
         &case,
         Mode::instrumented(AllocatorKind::Subheap),
         TraceConfig::all(),
     );
-    assert_eq!(outcome, CaseOutcome::Detected);
+    assert_eq!(outcome, Verdict::SafetyTrap);
     let r = forensics.expect("tracing was on, so the trap carries a report");
 
     // The violated interval is the `vulnerable` member: 10 x i32.
@@ -62,12 +77,12 @@ fn intra_object_bad_case_yields_subobject_forensics() {
 #[test]
 fn intra_object_stack_case_names_local_offset_scheme() {
     let case = case_by_id("CWE121_IntraObjectWrite_Stack_LoadedFlow_bad");
-    let (outcome, forensics) = run_case_traced(
+    let (outcome, forensics) = verdict_and_report(
         &case,
         Mode::instrumented(AllocatorKind::Wrapped),
         TraceConfig::all(),
     );
-    assert_eq!(outcome, CaseOutcome::Detected);
+    assert_eq!(outcome, Verdict::SafetyTrap);
     let r = forensics.expect("report");
     let obj = r.object.expect("stack object recorded");
     assert_eq!(obj.region, Region::Stack);
@@ -80,12 +95,12 @@ fn intra_object_stack_case_names_local_offset_scheme() {
 #[test]
 fn disabled_tracing_means_no_report() {
     let case = case_by_id("CWE122_IntraObjectWrite_Heap_LoadedFlow_bad");
-    let (outcome, forensics) = run_case_traced(
+    let (outcome, forensics) = verdict_and_report(
         &case,
         Mode::instrumented(AllocatorKind::Subheap),
         TraceConfig::off(),
     );
-    assert_eq!(outcome, CaseOutcome::Detected);
+    assert_eq!(outcome, Verdict::SafetyTrap);
     assert!(forensics.is_none());
 }
 
@@ -94,12 +109,12 @@ fn disabled_tracing_means_no_report() {
 #[test]
 fn flat_overflow_names_object_and_distance() {
     let case = case_by_id("CWE126_Overread_Heap_Direct_bad");
-    let (outcome, forensics) = run_case_traced(
+    let (outcome, forensics) = verdict_and_report(
         &case,
         Mode::instrumented(AllocatorKind::Subheap),
         TraceConfig::all(),
     );
-    assert_eq!(outcome, CaseOutcome::Detected);
+    assert_eq!(outcome, Verdict::SafetyTrap);
     let r = forensics.expect("report");
     assert!(matches!(r.trap, TrapKind::Poisoned | TrapKind::Bounds));
     let obj = r.object.expect("object");

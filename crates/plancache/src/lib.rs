@@ -35,8 +35,8 @@
 //! **Eviction.** Each shard carries a byte budget (approximate artifact
 //! footprints) and evicts least-recently-used entries when inserting
 //! over budget. [`PlanCache::poisoned`] builds a deliberately tiny,
-//! eviction-heavy cache used by the fuzz `cache_divergence` leg to
-//! hammer the evict/recompile path.
+//! eviction-heavy cache; the fuzz oracle's config table runs through
+//! one to hammer the evict/recompile path.
 //!
 //! **Telemetry.** [`CacheStats`] (hits/misses/evictions/bytes/compile
 //! time) lives entirely outside [`ifp_vm::RunStats`], like
@@ -50,7 +50,7 @@
 
 use ifp_compiler::Program;
 use ifp_vm::{
-    compile_artifact, program_fingerprint, CompiledArtifact, ExecTier, RunResult, VmConfig,
+    compile_artifact, program_fingerprint, CompiledArtifact, ExecTier, RunResult, Vm, VmConfig,
     VmError, VmHost,
 };
 use std::collections::HashMap;
@@ -188,7 +188,7 @@ impl PlanCache {
     /// A deliberately capacity-poisoned cache ([`POISONED_BUDGET`]):
     /// real artifacts evict each other almost immediately, so lookups
     /// keep flipping between hit, evict, and recompile. The fuzz
-    /// `cache_divergence` leg runs through one of these to prove the
+    /// oracle's config table runs through one of these to prove the
     /// whole lifecycle is invisible to modeled output.
     #[must_use]
     pub fn poisoned() -> PlanCache {
@@ -270,7 +270,7 @@ impl PlanCache {
     /// See [`VmError`].
     pub fn run(&self, program: &Program, config: &VmConfig) -> Result<RunResult, VmError> {
         let artifact = self.artifact(program, config)?;
-        ifp_vm::run_with_artifact(program, config, &artifact)
+        Vm::with_artifact(program, config, &artifact, VmHost::with_l1(config.l1)).run()
     }
 
     /// [`ifp_vm::run_pooled`] through the cache: same signature and
@@ -285,7 +285,7 @@ impl PlanCache {
         match self.artifact(program, config) {
             Ok(artifact) => {
                 let (result, host) =
-                    ifp_vm::run_pooled_with_artifact(program, config, &artifact, host);
+                    Vm::with_artifact(program, config, &artifact, host).run_pooled();
                 (result, Some(host))
             }
             Err(e) => (Err(e), None),
@@ -339,17 +339,7 @@ impl fmt::Debug for PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ifp_vm::{run, AllocatorKind, Mode};
-
-    fn digest(r: &Result<RunResult, VmError>) -> String {
-        match r {
-            Ok(r) => format!(
-                "ok exit={} out={:?} stats={:?}",
-                r.exit_code, r.output, r.stats
-            ),
-            Err(e) => format!("err {e}"),
-        }
-    }
+    use ifp_vm::{run, AllocatorKind, Mode, Observation};
 
     #[test]
     fn one_artifact_serves_every_allocator_and_ablation() {
@@ -423,10 +413,18 @@ mod tests {
             for tier in [ExecTier::Interp, ExecTier::Jit] {
                 let mut cfg = VmConfig::with_mode(Mode::instrumented(AllocatorKind::Subheap));
                 cfg.exec_tier = tier;
-                let fresh = digest(&run(&program, &cfg));
+                let fresh = Observation::of(&run(&program, &cfg));
                 // Twice through the cache: miss path, then hit path.
-                assert_eq!(fresh, digest(&cache.run(&program, &cfg)), "{wname} cold");
-                assert_eq!(fresh, digest(&cache.run(&program, &cfg)), "{wname} warm");
+                assert_eq!(
+                    fresh,
+                    Observation::of(&cache.run(&program, &cfg)),
+                    "{wname} cold"
+                );
+                assert_eq!(
+                    fresh,
+                    Observation::of(&cache.run(&program, &cfg)),
+                    "{wname} warm"
+                );
             }
         }
         assert!(cache.stats().hits >= 4);
@@ -440,8 +438,13 @@ mod tests {
         for _ in 0..2 {
             for w in ifp_workloads::all().iter().take(4) {
                 let program = w.build_default();
-                let fresh = digest(&run(&program, &cfg));
-                assert_eq!(fresh, digest(&cache.run(&program, &cfg)), "{}", w.name);
+                let fresh = Observation::of(&run(&program, &cfg));
+                assert_eq!(
+                    fresh,
+                    Observation::of(&cache.run(&program, &cfg)),
+                    "{}",
+                    w.name
+                );
                 checked += 1;
             }
         }
@@ -463,7 +466,7 @@ mod tests {
     #[test]
     fn shared_cache_is_worker_count_invariant_in_results() {
         // The same suite of (workload, mode) runs through one shared
-        // cache on 1 and 4 workers: result digests must be identical
+        // cache on 1 and 4 workers: observations must be identical
         // (telemetry like hit/miss split may differ; results may not).
         let cache = Arc::new(PlanCache::new());
         let inputs: Vec<(usize, Mode)> = (0..8)
@@ -483,11 +486,11 @@ mod tests {
             .take(4)
             .map(|w| w.build_default())
             .collect();
-        let run_all = |workers: usize| -> Vec<String> {
+        let run_all = |workers: usize| -> Vec<Observation> {
             ifp_testutil::par_map(&inputs, workers, |(wi, mode)| {
                 let mut cfg = VmConfig::with_mode(*mode);
                 cfg.exec_tier = ExecTier::Jit;
-                digest(&cache.run(&programs[*wi], &cfg))
+                Observation::of(&cache.run(&programs[*wi], &cfg))
             })
         };
         assert_eq!(run_all(1), run_all(4));

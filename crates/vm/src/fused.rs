@@ -21,7 +21,7 @@
 //! slow path re-checks fuel per op, reproducing the interpreter's
 //! out-of-fuel point exactly. Every charge, counter, trace event, and
 //! trap coordinate is therefore bit-identical to tier 1 — enforced by
-//! the golden suite and the fuzz `tier_divergence` leg, not argued.
+//! the golden suite and the fuzz oracle's config table, not argued.
 
 use super::{eval_bin, Code, CompiledArtifact, Flow, FuncCode, Vm};
 use crate::VmError;

@@ -24,12 +24,14 @@
 
 mod interp;
 mod loader;
+mod observe;
 pub mod stats;
 
 pub use ifp_jit::{ExecTier, FusionStats};
 pub use interp::{
     compile_artifact, program_fingerprint, CompiledArtifact, StepOutcome, Vm, VmHost,
 };
+pub use observe::{Observation, Verdict};
 pub use stats::{ElisionStats, ObjectStats, PromoteStats, RunStats};
 
 use ifp_compiler::Program;
@@ -37,7 +39,6 @@ use ifp_hw::{CycleModel, Trap};
 use ifp_mem::CacheConfig;
 use ifp_trace::{ForensicReport, TraceConfig, TraceLog};
 use std::fmt;
-use std::sync::Arc;
 
 /// Which instrumented allocator serves heap allocations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -293,36 +294,4 @@ pub fn run_pooled(
         }
         Err(e) => (Err(e), None),
     }
-}
-
-/// Runs `program` to completion under `config` from an already-compiled
-/// [`CompiledArtifact`] (see [`compile_artifact`]), skipping the per-run
-/// validate/analyze/decode/fuse work. Bit-identical to [`run`] in every
-/// modeled statistic — [`run`] itself goes through the same artifact
-/// type; recalling one from a cache only changes host time.
-///
-/// # Errors
-///
-/// See [`VmError`]. Validation already happened at artifact-compile
-/// time, so [`VmError::BadProgram`] cannot occur here.
-pub fn run_with_artifact(
-    program: &Program,
-    config: &VmConfig,
-    artifact: &Arc<CompiledArtifact>,
-) -> Result<RunResult, VmError> {
-    Vm::with_artifact(program, config, artifact, VmHost::with_l1(config.l1)).run()
-}
-
-/// [`run_pooled`] from an already-compiled [`CompiledArtifact`]: skips
-/// the per-run compile work *and* recycles a pooled [`VmHost`]. The
-/// host always comes back (validation happened at artifact-compile
-/// time, so the [`run_pooled`] `BadProgram`-consumes-host path does not
-/// exist here).
-pub fn run_pooled_with_artifact(
-    program: &Program,
-    config: &VmConfig,
-    artifact: &Arc<CompiledArtifact>,
-    host: VmHost,
-) -> (Result<RunResult, VmError>, VmHost) {
-    Vm::with_artifact(program, config, artifact, host).run_pooled()
 }

@@ -5,6 +5,7 @@
 
 use ifp::juliet::{all_cases, run_suite, CaseKind};
 use ifp::prelude::*;
+use ifp::vm::ExecTier;
 
 fn main() {
     let cases = all_cases();
@@ -25,7 +26,7 @@ fn main() {
             no_promote: true,
         },
     ] {
-        let r = run_suite(&cases, mode);
+        let r = run_suite(&cases, mode, 1, ExecTier::Interp, None);
         println!("{mode:>22}: {r}");
         if !r.missed.is_empty() && r.missed.len() <= 8 {
             for id in &r.missed {

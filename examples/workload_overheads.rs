@@ -5,6 +5,7 @@
 //! (default workload: treeadd)
 
 use ifp::eval::ModeSweep;
+use ifp::vm::ExecTier;
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "treeadd".into());
@@ -22,7 +23,8 @@ fn main() {
 
     println!("{}: {}", w.name, w.description);
     let program = w.build_default();
-    let sweep = ModeSweep::run(w.name, &program).expect("workload runs in all modes");
+    let sweep = ModeSweep::run(w.name, &program, ExecTier::Interp, None)
+        .expect("workload runs in all modes");
 
     println!(
         "\nbaseline: {} instructions, {} cycles, {} heap allocations",

@@ -47,7 +47,7 @@
 use ifp_juliet::{all_cases, temporal_cases};
 use ifp_plancache::PlanCache;
 use ifp_temporal::TemporalPolicy;
-use ifp_vm::{run, AllocatorKind, ExecTier, Mode, VmConfig, VmError};
+use ifp_vm::{run, AllocatorKind, ExecTier, Mode, Observation, VmConfig, VmError};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -116,12 +116,7 @@ fn elision_rate_of<'a>(programs: impl Iterator<Item = &'a ifp_compiler::Program>
         let mut cfg = VmConfig::with_mode(Mode::instrumented(AllocatorKind::Subheap));
         cfg.fuel = 50_000_000;
         cfg.elide_checks = true;
-        let stats = match run(program, &cfg) {
-            Ok(r) => Some(r.stats),
-            Err(VmError::Trap { stats, .. }) => Some(*stats),
-            Err(_) => None,
-        };
-        if let Some(s) = stats {
+        if let Some(s) = Observation::of(&run(program, &cfg)).stats {
             total += s.elision.checks_total;
             elided += s.elision.checks_elided;
         }
@@ -203,8 +198,8 @@ fn workloads_sweep(quick: bool, tier: ExecTier, cache: Option<&PlanCache>) -> Su
     let mut instrs = 0u64;
     let mut cycles = 0u64;
     for (w, program) in workloads.iter().zip(&programs) {
-        let sweep = ifp::eval::ModeSweep::run_with_tier_cached(w.name, program, tier, cache)
-            .expect("workload sweeps clean");
+        let sweep =
+            ifp::eval::ModeSweep::run(w.name, program, tier, cache).expect("workload sweeps clean");
         for s in [
             &sweep.baseline,
             &sweep.subheap,

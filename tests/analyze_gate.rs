@@ -1,50 +1,36 @@
 //! The analyze gate: `ifp-analyze` must never weaken the detection
-//! story.
+//! story. `cargo test --release --workspace` runs it with every other
+//! test; the pinned fuzz campaigns it shares seeds with also run in
+//! CI's fuzz job.
 //!
-//! Three pillars, mirroring the CI `analyze-gate` job:
+//! Three pillars:
 //!
 //! 1. The Layer-1 verifier reports zero diagnostics over every seed
 //!    program (18 workloads + every generated Juliet case).
-//! 2. With `elide_checks` on — the plan now including inter-procedural
-//!    summaries — every Juliet outcome, all cases under both
-//!    instrumented allocators and both execution tiers, is identical to
-//!    the run without elision, while the elision measurably removes
-//!    modeled work.
-//! 3. A pinned-seed differential fuzz campaign with the elision legs
-//!    enabled produces zero findings, and so does the combined
-//!    elide + jit + plan-cache + interproc campaign.
+//! 2. With `elide_checks` on — the plan including inter-procedural
+//!    summaries — every Juliet run, all cases under both instrumented
+//!    allocators and both execution tiers, behaves exactly like the run
+//!    without elision (verdict, trap, exit code, output), while the
+//!    elision measurably removes modeled work.
+//! 3. Pinned-seed differential fuzz campaigns produce zero findings.
+//!    Every campaign runs the oracle's config table, whose rows rerun
+//!    each instrumented case elided, on both tiers, and through plan
+//!    caches.
 
-use ifp_juliet::{all_cases, CaseOutcome};
-use ifp_vm::{run, AllocatorKind, ExecTier, Mode, RunStats, VmConfig, VmError};
+use ifp_juliet::all_cases;
+use ifp_vm::{run, AllocatorKind, ExecTier, Mode, Observation, VmConfig};
 
-fn config(mode: Mode, tier: ExecTier, elide: bool) -> VmConfig {
-    let mut cfg = VmConfig::with_mode(mode);
-    cfg.fuel = 50_000_000;
-    cfg.exec_tier = tier;
-    cfg.elide_checks = elide;
-    cfg
-}
-
-/// Runs a program and classifies it the way the Juliet harness does,
-/// also returning the stats (up to the trap for trapping runs).
-fn outcome_of(
+fn observe(
     program: &ifp_compiler::Program,
     mode: Mode,
     tier: ExecTier,
     elide: bool,
-) -> (CaseOutcome, RunStats) {
-    match run(program, &config(mode, tier, elide)) {
-        Ok(r) => (CaseOutcome::Completed, r.stats),
-        Err(VmError::Trap { trap, stats, .. }) => {
-            let o = if trap.is_safety_violation() {
-                CaseOutcome::Detected
-            } else {
-                CaseOutcome::TrappedOther
-            };
-            (o, *stats)
-        }
-        Err(_) => (CaseOutcome::Errored, RunStats::default()),
-    }
+) -> Observation {
+    let mut cfg = VmConfig::with_mode(mode);
+    cfg.fuel = 50_000_000;
+    cfg.exec_tier = tier;
+    cfg.elide_checks = elide;
+    Observation::of(&run(program, &cfg))
 }
 
 #[test]
@@ -70,49 +56,46 @@ fn verifier_is_clean_on_every_seed_program() {
     }
 }
 
+fn cycles(o: &Observation) -> u64 {
+    o.stats.as_ref().map_or(0, |s| s.cycles)
+}
+
 #[test]
 fn elision_preserves_every_juliet_verdict_and_saves_cycles() {
     let cases = all_cases();
     let mut outcomes = 0usize;
     let mut cycles_off = 0u64;
     let mut cycles_on = 0u64;
-    let verdicts = ifp_testutil::par_map(&cases, ifp_testutil::default_workers(), |case| {
+    let rows = ifp_testutil::par_map(&cases, ifp_testutil::default_workers(), |case| {
         let mut rows = Vec::new();
         for alloc in AllocatorKind::ALL {
             let mode = Mode::instrumented(alloc);
+            let mut elided = Vec::new();
             for tier in [ExecTier::Interp, ExecTier::Jit] {
-                let (off, off_stats) = outcome_of(&case.program, mode, tier, false);
-                let (on, on_stats) = outcome_of(&case.program, mode, tier, true);
-                rows.push((
-                    case.id.clone(),
-                    alloc,
-                    tier,
-                    off,
-                    on,
-                    off_stats.cycles,
-                    on_stats.cycles,
-                ));
+                let off = observe(&case.program, mode, tier, false);
+                let on = observe(&case.program, mode, tier, true);
+                assert!(
+                    off.same_behaviour(&on),
+                    "{} under {alloc}/{tier}: elision changed the run: {} vs {}",
+                    case.id,
+                    off.describe(),
+                    on.describe()
+                );
+                rows.push((cycles(&off), cycles(&on)));
+                elided.push(on);
             }
             // The two tiers consume the same interprocedural elision
-            // plan: their elided runs must agree bit for bit on outcome
-            // and every modeled statistic.
-            let (i_on, i_stats) = outcome_of(&case.program, mode, ExecTier::Interp, true);
-            let (j_on, j_stats) = outcome_of(&case.program, mode, ExecTier::Jit, true);
-            assert_eq!(i_on, j_on, "{} under {alloc}: elided tiers split", case.id);
+            // plan: their elided runs must agree on the whole
+            // observation, every modeled statistic included.
             assert_eq!(
-                format!("{i_stats:?}"),
-                format!("{j_stats:?}"),
-                "{} under {alloc}: elided tiers diverged on modeled stats",
+                elided[0], elided[1],
+                "{} under {alloc}: elided tiers diverged",
                 case.id
             );
         }
         rows
     });
-    for (id, alloc, tier, off, on, c_off, c_on) in verdicts.into_iter().flatten() {
-        assert_eq!(
-            off, on,
-            "{id} under {alloc}/{tier}: elision changed the verdict"
-        );
+    for (c_off, c_on) in rows.into_iter().flatten() {
         outcomes += 1;
         cycles_off += c_off;
         cycles_on += c_on;
@@ -169,10 +152,6 @@ fn pinned_seed_elide_campaign_has_zero_findings() {
         workers: ifp_testutil::default_workers(),
         corpus_dir: None,
         schedule: ifp_fuzz::Schedule::Uniform,
-        elide_checks: true,
-        tier_checks: false,
-        plan_cache_checks: false,
-        interproc_checks: false,
     });
     assert!(
         report.findings.is_empty(),
@@ -187,19 +166,15 @@ fn pinned_seed_elide_campaign_has_zero_findings() {
 
 #[test]
 fn pinned_seed_combined_interproc_campaign_has_zero_findings() {
-    // The richest configuration CI exercises: check elision under the
-    // interprocedural plan, jit tier, plan cache, and the combined
-    // interproc leg — all differential, all on one pinned seed.
+    // The pinned seed of the combined elide + jit + plan-cache +
+    // interproc campaign; the oracle's config table covers all of those
+    // configurations on every case.
     let report = ifp_fuzz::run_campaign(&ifp_fuzz::CampaignConfig {
         seed: 0x1a7e,
         iterations: 100,
         workers: ifp_testutil::default_workers(),
         corpus_dir: None,
         schedule: ifp_fuzz::Schedule::Uniform,
-        elide_checks: true,
-        tier_checks: true,
-        plan_cache_checks: true,
-        interproc_checks: true,
     });
     assert!(
         report.findings.is_empty(),

@@ -13,7 +13,7 @@
 use ifp_compiler::Program;
 use ifp_juliet::all_cases;
 use ifp_plancache::PlanCache;
-use ifp_vm::{run, AllocatorKind, ExecTier, Mode, RunResult, VmConfig, VmError};
+use ifp_vm::{run, AllocatorKind, ExecTier, Mode, Observation, RunResult, VmConfig, VmError};
 use std::fmt::Write as _;
 
 const EXPECTED: &str = include_str!("golden_host_expected.txt");
@@ -41,55 +41,27 @@ fn modes() -> [(&'static str, Mode); 5] {
 }
 
 /// Runs `program` under `cfg` on **both execution tiers** and asserts
-/// every modeled observable — exit code, output, the whole [`RunStats`]
-/// struct, trap identity — is bit-identical. Any divergence is a hard
+/// the two observations — exit code, output, trap identity, the whole
+/// [`ifp_vm::RunStats`] struct — are equal. Any divergence is a hard
 /// failure (the tier contract), independent of the fixture comparison.
 /// Returns the interpreter-tier result, so the golden lines themselves
 /// are always produced by tier 1.
 fn run_both_tiers(program: &Program, cfg: &VmConfig) -> Result<RunResult, VmError> {
-    let mut icfg = *cfg;
-    icfg.exec_tier = ExecTier::Interp;
-    let mut jcfg = *cfg;
-    jcfg.exec_tier = ExecTier::Jit;
-    let ri = run(program, &icfg);
-    let rj = run(program, &jcfg);
-    match (&ri, &rj) {
-        (Ok(a), Ok(b)) => {
-            assert_eq!(a.exit_code, b.exit_code, "tier drift: exit code");
-            assert_eq!(a.output, b.output, "tier drift: program output");
-            assert_eq!(a.stats, b.stats, "tier drift: RunStats");
-        }
-        (
-            Err(VmError::Trap {
-                trap: ta,
-                func: fa,
-                stats: sa,
-                ..
-            }),
-            Err(VmError::Trap {
-                trap: tb,
-                func: fb,
-                stats: sb,
-                ..
-            }),
-        ) => {
-            assert_eq!(
-                format!("{ta:?}"),
-                format!("{tb:?}"),
-                "tier drift: trap kind"
-            );
-            assert_eq!(fa, fb, "tier drift: trapping function");
-            assert_eq!(sa, sb, "tier drift: RunStats at trap");
-        }
-        (Err(a), Err(b)) => {
-            assert_eq!(a.to_string(), b.to_string(), "tier drift: error identity");
-        }
-        (a, b) => panic!(
-            "tier drift: interp {} but jit {}",
-            if a.is_ok() { "completed" } else { "errored" },
-            if b.is_ok() { "completed" } else { "errored" },
-        ),
-    }
+    let ri = run(
+        program,
+        &VmConfig {
+            exec_tier: ExecTier::Interp,
+            ..*cfg
+        },
+    );
+    let rj = run(
+        program,
+        &VmConfig {
+            exec_tier: ExecTier::Jit,
+            ..*cfg
+        },
+    );
+    assert_eq!(Observation::of(&ri), Observation::of(&rj), "tier drift");
     ri
 }
 
@@ -172,44 +144,6 @@ fn elided_runs_are_tier_identical() {
     assert!(elided > 0, "elision never fired across the sweep");
 }
 
-/// Asserts two run results are observationally identical: exit code,
-/// output, the whole `RunStats` struct, and trap identity.
-fn assert_identical(a: &Result<RunResult, VmError>, b: &Result<RunResult, VmError>, ctx: &str) {
-    match (a, b) {
-        (Ok(x), Ok(y)) => {
-            assert_eq!(x.exit_code, y.exit_code, "{ctx}: exit code");
-            assert_eq!(x.output, y.output, "{ctx}: program output");
-            assert_eq!(x.stats, y.stats, "{ctx}: RunStats");
-        }
-        (
-            Err(VmError::Trap {
-                trap: ta,
-                func: fa,
-                stats: sa,
-                ..
-            }),
-            Err(VmError::Trap {
-                trap: tb,
-                func: fb,
-                stats: sb,
-                ..
-            }),
-        ) => {
-            assert_eq!(format!("{ta:?}"), format!("{tb:?}"), "{ctx}: trap kind");
-            assert_eq!(fa, fb, "{ctx}: trapping function");
-            assert_eq!(sa, sb, "{ctx}: RunStats at trap");
-        }
-        (Err(x), Err(y)) => {
-            assert_eq!(x.to_string(), y.to_string(), "{ctx}: error identity");
-        }
-        (x, y) => panic!(
-            "{ctx}: one run {} but the other {}",
-            if x.is_ok() { "completed" } else { "errored" },
-            if y.is_ok() { "completed" } else { "errored" },
-        ),
-    }
-}
-
 /// The artifact-cache invisibility gate: every workload×mode×tier cell
 /// runs fresh (cache off), then twice through one shared warm cache —
 /// the cold pass exercises miss+insert, the warm pass the hit path —
@@ -230,14 +164,10 @@ fn cached_sweep_is_bit_identical_to_fresh_on_both_tiers() {
                 let mut cfg = VmConfig::with_mode(mode);
                 cfg.l1 = ifp::eval::sweep_l1();
                 cfg.exec_tier = tier;
-                let fresh = run(&program, &cfg);
+                let fresh = Observation::of(&run(&program, &cfg));
                 for pass in ["cold", "warm"] {
-                    let cached = cache.run(&program, &cfg);
-                    assert_identical(
-                        &fresh,
-                        &cached,
-                        &format!("{wname}/{label}/{tier:?} ({pass} pass)"),
-                    );
+                    let cached = Observation::of(&cache.run(&program, &cfg));
+                    assert_eq!(fresh, cached, "{wname}/{label}/{tier:?} ({pass} pass)");
                 }
                 cells += 1;
             }
@@ -258,13 +188,9 @@ fn cached_sweep_is_bit_identical_to_fresh_on_both_tiers() {
                 let mut cfg = VmConfig::with_mode(*mode);
                 cfg.fuel = 50_000_000;
                 cfg.exec_tier = tier;
-                let fresh = run(&case.program, &cfg);
-                let cached = cache.run(&case.program, &cfg);
-                assert_identical(
-                    &fresh,
-                    &cached,
-                    &format!("juliet {}/{label}/{tier:?}", case.id),
-                );
+                let fresh = Observation::of(&run(&case.program, &cfg));
+                let cached = Observation::of(&cache.run(&case.program, &cfg));
+                assert_eq!(fresh, cached, "juliet {}/{label}/{tier:?}", case.id);
             }
         }
     }

@@ -4,10 +4,11 @@
 use ifp::eval::{geomean_overhead, ModeSweep};
 use ifp::juliet::{all_cases, run_suite};
 use ifp::prelude::*;
+use ifp::vm::ExecTier;
 
 fn sweep(name: &str, scale: u32) -> ModeSweep {
     let w = ifp::workloads::by_name(name).expect("workload exists");
-    ModeSweep::run(name, &(w.build)(scale)).expect("runs in all modes")
+    ModeSweep::run(name, &(w.build)(scale), ExecTier::Interp, None).expect("runs in all modes")
 }
 
 /// §5.1: all vulnerable Juliet cases detected, all good cases pass.
@@ -15,7 +16,7 @@ fn sweep(name: &str, scale: u32) -> ModeSweep {
 fn functional_evaluation_is_clean() {
     let cases = all_cases();
     for alloc in [AllocatorKind::Wrapped, AllocatorKind::Subheap] {
-        let r = run_suite(&cases, Mode::instrumented(alloc));
+        let r = run_suite(&cases, Mode::instrumented(alloc), 1, ExecTier::Interp, None);
         assert!(r.is_clean(), "{alloc}: {r}");
     }
 }
@@ -57,7 +58,13 @@ fn subheap_geomean_beats_wrapped() {
     let mut wrp = Vec::new();
     for name in names {
         let w = ifp::workloads::by_name(name).unwrap();
-        let s = ModeSweep::run(name, &(w.build)(w.default_scale / 2 + 1)).unwrap();
+        let s = ModeSweep::run(
+            name,
+            &(w.build)(w.default_scale / 2 + 1),
+            ExecTier::Interp,
+            None,
+        )
+        .unwrap();
         sub.push(s.runtime_overhead(&s.subheap));
         wrp.push(s.runtime_overhead(&s.wrapped));
     }
@@ -148,6 +155,12 @@ fn area_claims_hold() {
 fn legacy_code_partial_protection() {
     // Covered in depth by vm tests; assert the public path here.
     let cases = all_cases();
-    let r = run_suite(&cases, Mode::instrumented(AllocatorKind::Subheap));
+    let r = run_suite(
+        &cases,
+        Mode::instrumented(AllocatorKind::Subheap),
+        1,
+        ExecTier::Interp,
+        None,
+    );
     assert_eq!(r.false_positives.len(), 0);
 }

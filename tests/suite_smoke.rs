@@ -4,6 +4,7 @@
 //! program semantics).
 
 use ifp::eval::ModeSweep;
+use ifp::vm::ExecTier;
 
 #[test]
 fn all_workloads_agree_across_all_configurations() {
@@ -32,7 +33,8 @@ fn all_workloads_agree_across_all_configurations() {
     };
     for w in ifp::workloads::all() {
         let program = (w.build)(small_scale(w.name));
-        let sweep = ModeSweep::run(w.name, &program).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let sweep = ModeSweep::run(w.name, &program, ExecTier::Interp, None)
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         assert!(
             sweep.baseline.total_instrs() > 8_000,
             "{}: workload too trivial ({} instrs)",

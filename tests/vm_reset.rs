@@ -7,7 +7,7 @@
 //! check; these tests run under the dev profile, so the check is live).
 
 use ifp_compiler::{Operand, Program, ProgramBuilder};
-use ifp_vm::{run, run_pooled, AllocatorKind, Mode, VmConfig, VmError, VmHost};
+use ifp_vm::{run, run_pooled, AllocatorKind, Mode, Observation, Verdict, VmConfig, VmHost};
 
 fn modes() -> [Mode; 3] {
     [
@@ -17,14 +17,11 @@ fn modes() -> [Mode; 3] {
     ]
 }
 
-/// Every observable of a completed run, as one comparable string.
-/// `RunStats` is plain data without `PartialEq`; its `Debug` form covers
-/// every field, so string equality is field-for-field bit-identity.
-fn fingerprint(r: &ifp_vm::RunResult) -> String {
-    format!(
-        "exit={} out={:?} stats={:?}",
-        r.exit_code, r.output, r.stats
-    )
+/// Observes a run that must complete.
+fn completed(result: &Result<ifp_vm::RunResult, ifp_vm::VmError>) -> Observation {
+    let o = Observation::of(result);
+    assert_eq!(o.verdict, Verdict::Completed, "{}", o.describe());
+    o
 }
 
 /// A program with heap churn and an oversized global (which takes a
@@ -69,7 +66,7 @@ fn pooled_run_stats_bit_identical_to_fresh() {
         let program = (workload.build)(4);
         for mode in modes() {
             let cfg = VmConfig::with_mode(mode);
-            let fresh = run(&program, &cfg).expect("fresh run completes");
+            let fresh = completed(&run(&program, &cfg));
 
             // Dirty the host with a different program under a different
             // config before the run under test, so any state leaking
@@ -81,11 +78,10 @@ fn pooled_run_stats_bit_identical_to_fresh() {
             let host = host.expect("host survives");
 
             let (pooled, host) = run_pooled(&program, &cfg, host);
-            let pooled = pooled.expect("pooled run completes");
             assert!(host.is_some(), "host survives a completed run");
             assert_eq!(
-                fingerprint(&pooled),
-                fingerprint(&fresh),
+                completed(&pooled),
+                fresh,
                 "{w}/{mode}: pooled run diverged from fresh"
             );
         }
@@ -98,43 +94,26 @@ fn trap_path_hands_host_back_and_stays_identical() {
     let good = workout_program(3);
     let cfg = VmConfig::with_mode(Mode::instrumented(AllocatorKind::Subheap));
 
-    let fresh_err = run(&bad, &cfg).expect_err("fresh run traps");
-    let fresh_good = run(&good, &cfg).expect("fresh good run");
+    let fresh_err = Observation::of(&run(&bad, &cfg));
+    assert_eq!(fresh_err.verdict, Verdict::SafetyTrap, "fresh run traps");
+    let fresh_good = completed(&run(&good, &cfg));
 
     // Trap on a dirtied host, then a clean run on the host the trap
     // handed back — both must match their fresh equivalents.
     let (d, host) = run_pooled(&good, &cfg, VmHost::new());
     d.expect("dirtying run completes");
     let (pooled_err, host) = run_pooled(&bad, &cfg, host.expect("host survives"));
-    let pooled_err = pooled_err.expect_err("pooled run traps");
     let host = host.expect("host survives the trap path");
-    match (&fresh_err, &pooled_err) {
-        (
-            VmError::Trap {
-                trap: t1,
-                func: f1,
-                stats: s1,
-                ..
-            },
-            VmError::Trap {
-                trap: t2,
-                func: f2,
-                stats: s2,
-                ..
-            },
-        ) => {
-            assert_eq!(format!("{t1:?}"), format!("{t2:?}"), "trap identity");
-            assert_eq!(f1, f2, "faulting function");
-            assert_eq!(format!("{s1:?}"), format!("{s2:?}"), "stats at trap");
-        }
-        other => panic!("expected two traps, got {other:?}"),
-    }
+    assert_eq!(
+        Observation::of(&pooled_err),
+        fresh_err,
+        "trap identity, faulting function and stats at the trap"
+    );
 
     let (after, _) = run_pooled(&good, &cfg, host);
-    let after = after.expect("clean run after a trap");
     assert_eq!(
-        fingerprint(&after),
-        fingerprint(&fresh_good),
+        completed(&after),
+        fresh_good,
         "run after a trapped pooled run diverged"
     );
 }
@@ -163,7 +142,7 @@ fn dirty_hosts_handed_across_threads_stay_bit_identical() {
     let program = (workload.build)(4);
     for mode in modes() {
         let cfg = VmConfig::with_mode(mode);
-        let fresh = run(&program, &cfg).expect("fresh run completes");
+        let fresh = completed(&run(&program, &cfg));
 
         // Each producer thread dirties one host under its own geometry
         // and mode, then ships it through the channel; the consumer
@@ -185,11 +164,10 @@ fn dirty_hosts_handed_across_threads_stay_bit_identical() {
             drop(tx);
             for (i, host) in rx {
                 let (pooled, host_back) = run_pooled(&program, &cfg, host);
-                let pooled = pooled.expect("pooled run completes");
                 let host_back = host_back.expect("host survives");
                 assert_eq!(
-                    fingerprint(&pooled),
-                    fingerprint(&fresh),
+                    completed(&pooled),
+                    fresh,
                     "{mode}: host dirtied on thread {i} diverged from fresh"
                 );
                 assert_eq!(
@@ -220,8 +198,7 @@ fn shared_plan_cache_handoff_across_threads_stays_bit_identical() {
         for tier in [ifp_vm::ExecTier::Interp, ifp_vm::ExecTier::Jit] {
             let mut cfg = VmConfig::with_mode(mode);
             cfg.exec_tier = tier;
-            let fresh = run(&program, &cfg).expect("fresh run completes");
-            let fresh_fp = fingerprint(&fresh);
+            let fresh = completed(&run(&program, &cfg));
 
             // Producers dirty hosts through the shared cache (warming
             // the dirty program's artifacts as a side effect), then ship
@@ -244,11 +221,10 @@ fn shared_plan_cache_handoff_across_threads_stays_bit_identical() {
                 drop(tx);
                 for (i, host) in rx {
                     let (pooled, host_back) = cache.run_pooled(&program, &cfg, host);
-                    let pooled = pooled.expect("pooled cached run completes");
                     let host_back = host_back.expect("host survives");
                     assert_eq!(
-                        fingerprint(&pooled),
-                        fresh_fp,
+                        completed(&pooled),
+                        fresh,
                         "{mode}/{tier:?}: cached run on a host dirtied by thread {i} \
                          diverged from fresh"
                     );
@@ -271,14 +247,13 @@ fn thousand_pooled_runs_keep_live_rows_stable() {
     let program = workout_program(3);
     let cfg = VmConfig::with_mode(Mode::instrumented(AllocatorKind::Wrapped));
     let mut host = VmHost::new();
-    let mut expected: Option<(usize, String)> = None;
+    let mut expected: Option<(usize, Observation)> = None;
     for i in 0..1_000 {
         let (r, h) = run_pooled(&program, &cfg, host);
-        let r = r.unwrap_or_else(|e| panic!("run {i}: {e}"));
         host = h.expect("host survives");
         // The oversized global's table row stays live at exit; its count
-        // and the whole stats fingerprint must be identical every cycle.
-        let fp = (host.live_rows(), fingerprint(&r));
+        // and the whole observation must be identical every cycle.
+        let fp = (host.live_rows(), completed(&r));
         match &expected {
             None => {
                 assert!(fp.0 > 0, "workout program should hold a table row");
@@ -286,7 +261,7 @@ fn thousand_pooled_runs_keep_live_rows_stable() {
             }
             Some(e) => {
                 assert_eq!(e.0, fp.0, "live_rows drifted at run {i}");
-                assert_eq!(e.1, fp.1, "stats drifted at run {i}");
+                assert_eq!(e.1, fp.1, "observation drifted at run {i}");
             }
         }
     }
