@@ -14,7 +14,12 @@
 //! elide_checks?, exec tier)`.
 //! The fingerprint is FNV-1a over the program's deterministic rendering
 //! ([`program_fingerprint`]), so structurally identical programs built
-//! independently share one artifact. The other three key components are
+//! independently share one artifact. [`PlanCache::artifact`] computes it
+//! once per lookup, hit or miss, and a miss compiles without hashing the
+//! program again: in release builds that lookup is the only place a run
+//! fingerprints its program. (Debug builds also fingerprint inside
+//! [`compile_artifact`] and [`Vm::with_artifact`], for the artifact
+//! mismatch check.) The other three key components are
 //! exactly the compile *inputs* of [`compile_artifact`]; allocator
 //! kind, the no-promote ablation, temporal policy, cache geometry, and
 //! fuel do not participate in decode/analyze/fuse, so they are

@@ -198,16 +198,21 @@ pub fn program_fingerprint(program: &Program) -> u64 {
 /// the instrumentation plan, the pre-decoded interpreter streams, and
 /// (on the jit tier) the fused superinstruction streams.
 ///
-/// An artifact is keyed by program content and compile inputs — see
-/// [`compile_artifact`] — never by allocator kind, promote ablation,
+/// An artifact depends on program content and compile inputs — see
+/// [`compile_artifact`] — never on allocator kind, promote ablation,
 /// temporal policy, cache geometry, or fuel, none of which participate
-/// in decode/analyze/fuse. Construction cost ([`CompiledArtifact::compile_ns`])
-/// is host telemetry only; no modeled statistic depends on whether an
-/// artifact was freshly compiled or recalled from a cache.
+/// in decode/analyze/fuse. It does not carry its program's
+/// [`program_fingerprint`] in release builds: a cache computes the
+/// fingerprint for its own key on lookup, and a fresh run never needs
+/// it. Construction cost ([`CompiledArtifact::compile_ns`]) is host
+/// telemetry only; no modeled statistic depends on whether an artifact
+/// was freshly compiled or recalled from a cache.
 #[derive(Debug)]
 pub struct CompiledArtifact {
-    /// [`program_fingerprint`] of the source program.
-    pub fingerprint: u64,
+    /// [`program_fingerprint`] of the source program, kept in debug
+    /// builds only, for [`Vm::with_artifact`]'s mismatch check.
+    #[cfg(debug_assertions)]
+    fingerprint: u64,
     /// Whether the artifact embeds an instrumentation plan.
     pub instrumented: bool,
     /// Whether statically proven elisions were baked into the plan
@@ -216,7 +221,7 @@ pub struct CompiledArtifact {
     /// The execution tier the artifact serves.
     pub tier: ExecTier,
     /// Host nanoseconds spent validating + analyzing + decoding +
-    /// fusing. Telemetry only.
+    /// fusing (never fingerprinting). Telemetry only.
     pub compile_ns: u64,
     plan: Option<InstrPlan>,
     decoded: Vec<FuncCode>,
@@ -261,6 +266,11 @@ impl CompiledArtifact {
 /// one artifact serves every allocator / promote-ablation / temporal /
 /// cache-geometry variation of a run.
 ///
+/// `compile_ns` covers validate, analyze, decode and fuse only. The
+/// program is not fingerprinted here in release builds; debug builds
+/// fingerprint it after the timer stops, for [`Vm::with_artifact`]'s
+/// mismatch check.
+///
 /// # Errors
 ///
 /// [`VmError::BadProgram`] when validation fails.
@@ -277,12 +287,14 @@ pub fn compile_artifact(program: &Program, config: &VmConfig) -> Result<Compiled
         let fplan = ifp_jit::fuse(program);
         fused::compile(program, &decoded, &fplan)
     });
+    let compile_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
     Ok(CompiledArtifact {
+        #[cfg(debug_assertions)]
         fingerprint: program_fingerprint(program),
         instrumented,
         elide_checks,
         tier: config.exec_tier,
-        compile_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        compile_ns,
         plan,
         decoded,
         fused,
@@ -459,8 +471,12 @@ impl<'p> Vm<'p> {
     /// again. The artifact must have been produced by
     /// [`compile_artifact`] from a structurally identical program under
     /// a config agreeing on `mode.is_instrumented()`, `elide_checks`,
-    /// and `exec_tier` (checked by `debug_assert`); content addressing
-    /// makes a stale artifact impossible when the fingerprint matches.
+    /// and `exec_tier`. Debug builds check all of it: the artifact keeps
+    /// its program's [`program_fingerprint`] there, and this call
+    /// fingerprints `program` and panics with "artifact compiled from a
+    /// different program" on a mismatch. Release builds check nothing
+    /// and fingerprint nothing; content addressing in the cache makes a
+    /// stale artifact impossible when the fingerprint matches.
     ///
     /// Runs from a shared artifact are bit-identical to fresh runs in
     /// every modeled statistic: [`Vm::with_host`] itself delegates
@@ -471,7 +487,8 @@ impl<'p> Vm<'p> {
         artifact: &Arc<CompiledArtifact>,
         mut host: VmHost,
     ) -> Self {
-        debug_assert_eq!(
+        #[cfg(debug_assertions)]
+        assert_eq!(
             artifact.fingerprint,
             program_fingerprint(program),
             "artifact compiled from a different program"
@@ -626,11 +643,14 @@ impl<'p> Vm<'p> {
             lower: bounds.map_or(0, |b| b.0),
             upper: bounds.map_or(0, |b| b.1),
         });
-        let funcs: Vec<String> = self.program.funcs.iter().map(|f| f.name.clone()).collect();
-        let forensics = self
-            .tracer
-            .forensics(kind, addr, size, bounds, &func, &funcs)
-            .map(Box::new);
+        let forensics = if self.tracer.any_enabled() {
+            let funcs: Vec<String> = self.program.funcs.iter().map(|f| f.name.clone()).collect();
+            self.tracer
+                .forensics(kind, addr, size, bounds, &func, &funcs)
+                .map(Box::new)
+        } else {
+            None
+        };
         VmError::Trap {
             trap,
             func,

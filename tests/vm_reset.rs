@@ -266,3 +266,21 @@ fn thousand_pooled_runs_keep_live_rows_stable() {
         }
     }
 }
+
+/// Handing `Vm::with_artifact` an artifact compiled from a different
+/// program is a caller bug. Debug builds keep the source program's
+/// fingerprint in the artifact and compare it in full, so the mismatch
+/// panics instead of running stale streams; release builds compile the
+/// check out, and this test with it.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "artifact compiled from a different program")]
+fn artifact_from_a_different_program_is_rejected() {
+    use std::sync::Arc;
+
+    let cfg = VmConfig::with_mode(Mode::instrumented(AllocatorKind::Wrapped));
+    let a = workout_program(3);
+    let b = workout_program(16);
+    let artifact = Arc::new(ifp_vm::compile_artifact(&a, &cfg).expect("compiles"));
+    let _ = ifp_vm::Vm::with_artifact(&b, &cfg, &artifact, VmHost::new());
+}
